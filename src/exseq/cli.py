@@ -12,12 +12,14 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
+from math import factorial
 
 from .derived import WindowSpec, nu_inv, obj_to_dict
-from .riedtmann import config_to_riedtmann, riedtmann_to_config
+from .riedtmann import config_to_riedtmann, riedtmann_to_config, torsion_window
 from .roots import QuiverDescriptor, QuiverError, build_root_system, fuss_catalan
 from .sequences import (
-    MutationSign, enumerate_complete_sequences, mu_rev, mu_rev_steps, mutate,
+    MutationSign, enumerate_complete_sequences, mu_rev, mu_rev_inverse_steps,
+    mu_rev_steps, mutate,
 )
 from .silting import (
     ENUMERATION_KINDS, collection_from_list, collection_to_list,
@@ -90,12 +92,27 @@ def _parse_window(text: str) -> tuple[int, int]:
 def _build(args) -> "RootSystemData":
     family, rank = args.type
     if args.orientation:
-        data = json.loads(args.orientation)
-        quiver = QuiverDescriptor(family, rank,
-                                  tuple((int(a), int(b)) for a, b in data))
+        try:
+            arrows = tuple((int(a), int(b)) for a, b in json.loads(args.orientation))
+        except (TypeError, ValueError):
+            raise QuiverError(f"bad orientation {args.orientation!r}; "
+                              "expected a JSON list of [i, j] arrows") from None
+        quiver = QuiverDescriptor(family, rank, arrows)
     else:
         quiver = QuiverDescriptor.standard(family, rank)
     return build_root_system(quiver)
+
+
+def _read_records(path: str) -> list:
+    """The JSON array of records in an input file."""
+    try:
+        with open(path) as handle:
+            records = json.load(handle)
+    except (OSError, ValueError) as exc:   # ValueError: not valid JSON
+        raise ValueError(f"cannot read records from {path}: {exc}") from None
+    if not isinstance(records, list):
+        raise ValueError(f"{path} must hold a JSON array of records")
+    return records
 
 
 def _emit(args, payload: dict) -> None:
@@ -149,34 +166,22 @@ def cmd_nc(args) -> int:
 
 
 def _trace_of(seq, inverse: bool) -> list[dict]:
-    steps = []
-    rs = seq[0].rs
-    if inverse:
-        current = seq
-        from .sequences import mu_rev_inverse_steps
-        iterator = mu_rev_inverse_steps(current)
-    else:
-        iterator = mu_rev_steps(seq)
-    for i, sign, after in iterator:
-        steps.append({
-            "position": i,
-            "sign": sign.value,
-            "sequence": [obj_to_dict(x) for x in after],
-        })
-    return steps
+    steps = mu_rev_inverse_steps(seq) if inverse else mu_rev_steps(seq)
+    return [{"position": i, "sign": sign.value,
+             "sequence": [obj_to_dict(x) for x in after]}
+            for i, sign, after in steps]
 
 
 def cmd_biject(args) -> int:
     try:
         rs = _build(args)
+        records = _read_records(args.infile)
+        group = None
+        if args.direction in ("nc-to-config", "config-to-nc"):
+            group = generate_weyl(rs)
     except (QuiverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with open(args.infile) as handle:
-        records = json.load(handle)
-    group = None
-    if args.direction in ("nc-to-config", "config-to-nc"):
-        group = generate_weyl(rs)
     results = []
     failures = 0
     for record in records:
@@ -201,11 +206,9 @@ def cmd_biject(args) -> int:
             elif args.direction == "nc-to-config":
                 parts = nc_from_dict(group, record)
                 entry["output"] = collection_to_list(phi(group, parts))
-            elif args.direction == "config-to-nc":
+            else:  # config-to-nc; argparse admits no other direction
                 col = collection_from_list(rs, record)
                 entry["output"] = nc_to_dict(group, phi_inverse(group, col, args.m))
-            else:
-                raise ValueError(f"unknown direction {args.direction}")
         except (ValueError, QuiverError) as exc:
             entry["error"] = str(exc)
             failures += 1
@@ -273,6 +276,10 @@ def _verify_checks(rs, group, m: int) -> tuple[dict, list[CheckResult]]:
 
     sequences = enumerate_complete_sequences(rs)
     counts["complete-exceptional-sequences"] = len(sequences)
+    # Obaid-Nauman-Al-Shammakh-Fakieh-Ringel: n! h^n / |W| complete sequences.
+    check("count complete exceptional sequences",
+          factorial(rs.n) * rs.coxeter_number ** rs.n // rs.weyl_order(),
+          len(sequences))
     bad_seq = None
     for seq in sequences:
         twice, _ = mu_rev(mu_rev(seq)[0])
@@ -342,17 +349,13 @@ def cmd_riedtmann(args) -> int:
 
 
 def cmd_torsion(args) -> int:
-    from .riedtmann import torsion_window
-
     try:
         rs = _build(args)
+        window = WindowSpec(*args.window)
+        records = _read_records(args.infile)
     except (QuiverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    lo, hi = args.window
-    window = WindowSpec(lo, hi)
-    with open(args.infile) as handle:
-        records = json.load(handle)
     results = []
     failures = 0
     for record in records:
@@ -366,7 +369,8 @@ def cmd_torsion(args) -> int:
             entry["error"] = str(exc)
             failures += 1
         results.append(entry)
-    _emit(args, {"window": window.to_dict(), "records": results})
+    _emit(args, {"window": window.to_dict(), "records": results,
+                 "failures": failures})
     return 1 if failures else 0
 
 
@@ -382,9 +386,6 @@ def _add_common(parser: argparse.ArgumentParser, need_m: bool = True) -> None:
     if need_m:
         parser.add_argument("--m", type=int, required=True)
     parser.add_argument("--out", default=None, help="write the JSON payload here")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted for interface compatibility; "
-                             "computations are single-threaded")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,14 +2,12 @@
 
 Every indecomposable of D^b(H) for a Dynkin path algebra H is a stalk
 complex M[d], so an object is encoded as (positive-root index, degree).
-Hom spaces are computed exactly by the Serre-duality recursion
+Hom spaces are read from the exact table RootSystemData.hom_table, which the
+root system fills once by a Serre-duality recursion.  No linear algebra is
+involved; the matrix-representation oracle lives in the test suite only.
 
-    Hom(X, Y) = Hom(Y, tau(X)[1])         (X with non-projective module)
-    Hom(P_i[a], N[b]) = dim N at vertex i if a == b, else 0
-
-which terminates because tau walks every module to a projective in at most
-h steps.  No linear algebra is involved; the matrix-representation oracle
-lives in the test suite only.
+Which Ext^i between two stalks is nonzero is decided here, by nonzero_exts;
+the silting, mutation, Weyl and torsion layers all ask it.
 """
 from __future__ import annotations
 
@@ -79,7 +77,12 @@ def obj_to_dict(x: DObj) -> dict:
 
 
 def obj_from_dict(rs: RootSystemData, data: dict) -> DObj:
-    return obj(rs, tuple(int(c) for c in data["dim"]), int(data["deg"]))
+    try:
+        dim, degree = tuple(int(c) for c in data["dim"]), int(data["deg"])
+    except (KeyError, TypeError):
+        raise ValueError(f"object record {data!r} is not of the form "
+                         '{"dim": [...], "deg": d}') from None
+    return obj(rs, dim, degree)
 
 
 def is_projective(x: DObj) -> bool:
@@ -165,31 +168,12 @@ def translate(x: DObj, op: str, k: int = 1) -> DObj:
 # Hom and Ext dimensions.
 # ---------------------------------------------------------------------------
 
-def _hom_root(rs: RootSystemData, rx: int, ry: int, dd: int) -> int:
-    """dim Hom(M_rx[0], M_ry[dd]).  Stalk objects only interact when the
-    degree difference is 0 or 1."""
-    if dd not in (0, 1):
-        return 0
-    key = (rx, ry, dd)
-    cache = rs._hom_cache
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if rs.is_projective_root(rx):
-        vertex = rs._proj_vertex[rx]
-        value = rs.positive_roots[ry][vertex] if dd == 0 else 0
-    else:
-        # Serre duality: Hom(X, Y) = D Hom(Y, nu X) with nu X = tau(X)[1].
-        value = _hom_root(rs, ry, rs._tau_image[rx], 1 - dd)
-    cache[key] = value
-    return value
-
-
 def hom_dim(x: DObj, y: DObj) -> int:
     """Exact dimension of Hom_D(x, y)."""
     rs = _same_system(x, y)
     _require_categorical(rs)
-    return _hom_root(rs, x.root, y.root, y.degree - x.degree)
+    gap = y.degree - x.degree
+    return rs.hom_table[gap][x.root][y.root] if gap in (0, 1) else 0
 
 
 def ext_dim(x: DObj, y: DObj, i: int) -> int:
@@ -197,10 +181,21 @@ def ext_dim(x: DObj, y: DObj, i: int) -> int:
     return hom_dim(x, shift(y, i))
 
 
-def ext_interaction(x: DObj, y: DObj) -> tuple[int, int]:
-    """The two consecutive i at which Ext^i(x, y) can be nonzero."""
+def nonzero_exts(x: DObj, y: DObj) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, dim Ext^i(x, y)) with nonzero dimension, i ascending.
+
+    Stalk objects interact only at i = x.degree - y.degree and at i + 1, so
+    there are at most two pairs.
+    """
+    rs = _same_system(x, y)
+    _require_categorical(rs)
     base = x.degree - y.degree
-    return (base, base + 1)
+    out = []
+    for i in (base, base + 1):
+        dim = rs.hom_table[i - base][x.root][y.root]
+        if dim:
+            out.append((i, dim))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

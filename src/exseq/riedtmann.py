@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .derived import (
-    DObj, WindowSpec, ext_dim, f_power, hom_dim, is_projective, window_objects,
+    DObj, WindowSpec, f_power, hom_dim, is_projective, nonzero_exts, window_objects,
 )
 from .sequences import ExcSeq, MutationError, MutationSign, mutate
 from .silting import DCollection, collection, is_hom_leq0_config, is_m_config
@@ -122,20 +122,21 @@ def riedtmann_to_config(p: PeriodicConfig) -> DCollection:
 # Torsion classes on degree windows.
 # ---------------------------------------------------------------------------
 
+def _has_positive_ext(x: DObj, z: DObj) -> bool:
+    # Ext^i(x, z) can be nonzero only for i <= x.degree - z.degree + 1, and
+    # nonzero_exts lists i ascending.
+    if x.degree < z.degree:
+        return False
+    exts = nonzero_exts(x, z)
+    return bool(exts) and exts[-1][0] >= 1
+
+
 def torsion_window(col: DCollection, w: WindowSpec) -> frozenset[DObj]:
     """The part of A(col) inside the window: objects receiving no positive
     extensions from any summand."""
     summands = col.sorted()
-
-    def admitted(z: DObj) -> bool:
-        for s in summands:
-            base = s.degree - z.degree
-            for i in (base, base + 1):
-                if i >= 1 and ext_dim(s, z, i):
-                    return False
-        return True
-
-    return frozenset(z for z in window_objects(col.rs, w) if admitted(z))
+    return frozenset(z for z in window_objects(col.rs, w)
+                     if not any(_has_positive_ext(s, z) for s in summands))
 
 
 def check_negative_mutation_invariance(seq: ExcSeq, i: int, w: WindowSpec) -> bool:
@@ -155,13 +156,6 @@ def ext_projectives(a_window: frozenset[DObj], w: WindowSpec, margin: int = 2
     if w.lo + margin > w.hi - margin:
         raise ValueError(f"window {w} is too small for a margin of {margin}")
 
-    def projective_in(x: DObj) -> bool:
-        for z in a_window:
-            base = x.degree - z.degree
-            for i in (base, base + 1):
-                if i >= 1 and ext_dim(x, z, i):
-                    return False
-        return True
-
     interior = [x for x in a_window if w.lo + margin <= x.degree <= w.hi - margin]
-    return frozenset(x for x in interior if projective_in(x))
+    return frozenset(x for x in interior
+                     if not any(_has_positive_ext(x, z) for z in a_window))

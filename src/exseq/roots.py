@@ -16,6 +16,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import prod
 
 DimVector = tuple[int, ...]
@@ -32,10 +33,6 @@ class QuiverError(ValueError):
 # ---------------------------------------------------------------------------
 # Small exact linear algebra over the integers.
 # ---------------------------------------------------------------------------
-
-def vec_add(u: DimVector, v: DimVector) -> DimVector:
-    return tuple(a + b for a, b in zip(u, v))
-
 
 def vec_sub(u: DimVector, v: DimVector) -> DimVector:
     return tuple(a - b for a, b in zip(u, v))
@@ -272,6 +269,10 @@ class RootSystemData:
     """Root-combinatorial data of a quiver.  Immutable after construction;
     instances may be shared freely across threads.
 
+    For the A, D, E families construction also fills `hom_table`: entry
+    hom_table[gap][rx][ry] is dim Hom(M_rx[0], M_ry[gap]) for gap 0 and 1,
+    the only degree gaps at which two stalk complexes can interact.
+
     Positive roots are ordered with the simple roots first (in vertex order)
     and the rest by (height, coordinates); this order is the deterministic
     tie-break used by every enumeration built on top.
@@ -325,7 +326,7 @@ class RootSystemData:
         self._inj_vertex: dict[int, int] = {}
         self._tau_image: tuple[int | None, ...] | None = None
         self._tau_inv_image: tuple[int | None, ...] | None = None
-        self._hom_cache: dict[tuple[int, int, int], int] = {}
+        self.hom_table: tuple[IntMatrix, IntMatrix] | None = None
         if self.family in CATEGORICAL_FAMILIES:
             self._build_categorical()
 
@@ -444,6 +445,25 @@ class RootSystemData:
                 tau_inv_img.append(self.root_index[image])
         self._tau_image = tuple(tau_img)
         self._tau_inv_image = tuple(tau_inv_img)
+        self.hom_table = self._hom_table()
+
+    def _hom_table(self) -> tuple[IntMatrix, IntMatrix]:
+        """Both Hom arrays, by the Serre-duality recursion
+
+            Hom(X, Y) = Hom(Y, tau(X)[1])         (X with non-projective module)
+            Hom(P_i[a], N[b]) = dim N at vertex i if a == b, else 0
+
+        which terminates because tau walks every module to a projective in at
+        most h steps."""
+        @cache
+        def hom(rx: int, ry: int, gap: int) -> int:
+            if rx in self._proj_vertex:
+                return self.positive_roots[ry][self._proj_vertex[rx]] if gap == 0 else 0
+            return hom(ry, self._tau_image[rx], 1 - gap)
+
+        roots = range(len(self.positive_roots))
+        return tuple(tuple(tuple(hom(rx, ry, gap) for ry in roots) for rx in roots)
+                     for gap in (0, 1))
 
     # -- queries -------------------------------------------------------------
 

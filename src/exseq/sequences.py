@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Iterator
 
-from .derived import DObj, class_of, hom_dim, nu_inv, object_of_class, shift
+from .derived import DObj, class_of, nonzero_exts, nu_inv, object_of_class, shift
 from .roots import RootSystemData, vec_scale, vec_sub
 
 ExcSeq = tuple[DObj, ...]
@@ -40,14 +40,12 @@ class MutationError(RuntimeError):
     an ambiguous degree, or an output violating a theorem-backed postcondition."""
 
 
-def _module(x: DObj) -> DObj:
-    return DObj(x.rs, x.root, 0) if x.degree else x
-
-
 def _module_orthogonal(later: DObj, earlier: DObj) -> bool:
-    """Hom and Ext^1 vanish from later to earlier on underlying modules."""
-    a, b = _module(later), _module(earlier)
-    return hom_dim(a, b) == 0 and hom_dim(a, shift(b, 1)) == 0
+    """Hom and Ext^1 vanish from later to earlier on underlying modules.
+
+    Stalks interact at two consecutive Ext degrees whose Hom spaces depend
+    only on the modules, so no Ext at all is the same condition."""
+    return not nonzero_exts(later, earlier)
 
 
 def is_exceptional(items: Iterable[DObj]) -> bool:
@@ -66,12 +64,7 @@ def _approximation(a: DObj, b: DObj) -> tuple[int, int] | None:
     Stalk objects interact in at most two consecutive shifts, and for an
     exceptional pair at most one of them is nonzero.
     """
-    base = a.degree - b.degree
-    hits = []
-    for p in (base, base + 1):
-        r = hom_dim(a, shift(b, p))
-        if r:
-            hits.append((p, r))
+    hits = nonzero_exts(a, b)
     if not hits:
         return None
     if len(hits) > 1:
@@ -142,54 +135,51 @@ def _check_complete(seq: ExcSeq) -> RootSystemData:
     return rs
 
 
-def mu_rev_steps(seq: ExcSeq, order: list[int] | None = None
-                 ) -> Iterator[tuple[int, MutationSign, ExcSeq]]:
-    """Drive mu_rev one right mutation at a time, yielding
-    (position, sign, sequence after the step)."""
-    rs = _check_complete(seq)
-    if order is None:
-        order = mu_rev_order(rs.n)
+def _steps(seq: ExcSeq, order: Iterable[int], direction: str
+           ) -> Iterator[tuple[int, MutationSign, ExcSeq]]:
+    """Mutate a complete sequence at each position of order in turn,
+    yielding (position, sign, sequence after the step)."""
+    _check_complete(seq)
     current = tuple(seq)
     for i in order:
-        current, sign = mutate(current, i, "right")
+        current, sign = mutate(current, i, direction)
         yield i, sign, current
 
 
-def mu_rev(seq: ExcSeq, alt_order: bool = False) -> tuple[ExcSeq, tuple[MutationSign, ...]]:
-    """Apply the full reversal composite; also report the signs encountered."""
-    rs = _check_complete(seq)
-    order = mu_rev_order_alt(rs.n) if alt_order else mu_rev_order(rs.n)
-    signs = []
-    current = tuple(seq)
-    for i, sign, current in mu_rev_steps(current, order):
+def _run(seq: ExcSeq, steps) -> tuple[ExcSeq, tuple[MutationSign, ...]]:
+    """The sequence after the last step, and the signs of all steps."""
+    current, signs = tuple(seq), []
+    for _, sign, current in steps:
         signs.append(sign)
     return current, tuple(signs)
+
+
+def mu_rev_steps(seq: ExcSeq, order: list[int] | None = None
+                 ) -> Iterator[tuple[int, MutationSign, ExcSeq]]:
+    """Drive mu_rev one right mutation at a time, yielding
+    (position, sign, sequence after the step).  The order defaults to the
+    standard presentation mu_rev_order(n)."""
+    return _steps(seq, mu_rev_order(len(seq)) if order is None else order, "right")
+
+
+def mu_rev(seq: ExcSeq) -> tuple[ExcSeq, tuple[MutationSign, ...]]:
+    """Apply the full reversal composite; also report the signs encountered."""
+    return _run(seq, mu_rev_steps(seq))
 
 
 def mu_rev_inverse_steps(seq: ExcSeq) -> Iterator[tuple[int, MutationSign, ExcSeq]]:
     """Drive the inverse composite: left mutations in reversed order."""
-    rs = _check_complete(seq)
-    current = tuple(seq)
-    for i in reversed(mu_rev_order(rs.n)):
-        current, sign = mutate(current, i, "left")
-        yield i, sign, current
+    return _steps(seq, reversed(mu_rev_order(len(seq))), "left")
 
 
 def mu_rev_inverse(seq: ExcSeq) -> tuple[ExcSeq, tuple[MutationSign, ...]]:
     """The two-sided inverse of mu_rev."""
-    signs = []
-    current = tuple(seq)
-    for i, sign, current in mu_rev_inverse_steps(seq):
-        signs.append(sign)
-    return current, tuple(signs)
+    return _run(seq, mu_rev_inverse_steps(seq))
 
 
 def rotate(seq: ExcSeq) -> ExcSeq:
     """Apply mu_{n-1} ... mu_1 and assert it equals (E_2, ..., E_n, nu^{-1} E_1)."""
-    rs = _check_complete(seq)
-    current = tuple(seq)
-    for i in range(1, rs.n):
-        current, _ = mutate(current, i, "right")
+    current, _ = _run(seq, _steps(seq, range(1, len(seq)), "right"))
     expected = tuple(seq[1:]) + (nu_inv(seq[0]),)
     if current != expected:
         raise MutationError("rotation did not produce (E_2, ..., E_n, nu^{-1} E_1)")
@@ -211,7 +201,7 @@ def complete_sequence(partial: Iterable[DObj]) -> ExcSeq:
     Objects in nonzero degrees are first normalized to degree 0; existence
     of a completion is guaranteed, so failure raises MutationError.
     """
-    seq = tuple(_module(x) for x in partial)
+    seq = tuple(DObj(x.rs, x.root, 0) for x in partial)
     if seq and not is_exceptional(seq):
         raise ValueError("partial sequence is not exceptional")
     if seq and len(seq) > seq[0].rs.n:

@@ -1,10 +1,11 @@
 """Silting objects, Hom<=0-configurations, and the mutation bijection.
 
 A DCollection is an unordered basic object (a set of distinct stalk
-indecomposables).  Predicates here are exact; enumeration searches for
-n-cliques of the pairwise compatibility graph on the indecomposables of a
-degree window and then filters by the full predicate (the cycle condition
-H4 is not pairwise).
+indecomposables).  Predicates here are exact, each derived from the
+function that explains its failure.  Enumeration searches for n-cliques of
+the pairwise compatibility graph on the indecomposables of a degree window;
+a clique is already silting, and a configuration clique needs only the
+cycle condition H4, the one condition that is not pairwise.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .derived import (
-    DObj, WindowSpec, ext_dim, hom_dim,
+    DObj, WindowSpec, ext_dim, hom_dim, nonzero_exts,
     obj_from_dict, obj_to_dict, window_objects,
 )
 from .roots import RootSystemData
@@ -54,6 +55,8 @@ def collection_to_list(col: DCollection) -> list[dict]:
 
 
 def collection_from_list(rs: RootSystemData, data: list[dict]) -> DCollection:
+    if not isinstance(data, list):
+        raise ValueError(f"collection record {data!r} is not a list of objects")
     return collection(obj_from_dict(rs, d) for d in data)
 
 
@@ -63,40 +66,63 @@ def collection_from_list(rs: RootSystemData, data: list[dict]) -> DCollection:
 
 def _positive_ext(a: DObj, b: DObj) -> int | None:
     """The least i >= 1 with Ext^i(a, b) nonzero, or None."""
-    base = a.degree - b.degree
-    for i in (base, base + 1):
-        if i >= 1 and ext_dim(a, b, i):
-            return i
-    return None
-
-
-def _silting_compatible(a: DObj, b: DObj) -> bool:
-    return _positive_ext(a, b) is None and _positive_ext(b, a) is None
+    return next((i for i, _ in nonzero_exts(a, b) if i >= 1), None)
 
 
 def _negative_ext(a: DObj, b: DObj) -> int | None:
     """The least i <= -1 with Ext^i(a, b) nonzero, or None."""
-    base = a.degree - b.degree
-    for i in (base, base + 1):
-        if i <= -1 and ext_dim(a, b, i):
-            return i
-    return None
+    return next((i for i, _ in nonzero_exts(a, b) if i <= -1), None)
+
+
+def _silting_compatible(a: DObj, b: DObj) -> bool:
+    return all(i <= 0 for i, _ in nonzero_exts(a, b) + nonzero_exts(b, a))
 
 
 def _config_compatible(a: DObj, b: DObj) -> bool:
     if a == b:
         return _negative_ext(a, a) is None
-    return (hom_dim(a, b) == 0 and hom_dim(b, a) == 0
-            and _negative_ext(a, b) is None and _negative_ext(b, a) is None)
+    return all(i >= 1 for i, _ in nonzero_exts(a, b) + nonzero_exts(b, a))
+
+
+def _explain_not_partial_silting(objs: tuple[DObj, ...]) -> str | None:
+    for a in objs:
+        for b in objs:
+            i = _positive_ext(a, b)
+            if i is not None:
+                return f"Ext^{i}({a!r}, {b!r}) is nonzero"
+    return None
+
+
+def explain_not_silting(col: DCollection) -> str | None:
+    """A human-readable reason col is not silting, or None when it is."""
+    if len(col.summands) != col.rs.n:
+        return f"silting needs {col.rs.n} summands, found {len(col.summands)}"
+    return _explain_not_partial_silting(col.sorted())
+
+
+def explain_not_config(col: DCollection) -> str | None:
+    """A human-readable reason col is not a Hom<=0-configuration, or None."""
+    objs = col.sorted()
+    if len(objs) != col.rs.n:
+        return f"a configuration needs {col.rs.n} summands, found {len(objs)}"
+    for a in objs:
+        for b in objs:
+            if a != b and hom_dim(a, b):
+                return f"Hom({a!r}, {b!r}) is nonzero"
+            i = _negative_ext(a, b)
+            if i is not None:
+                return f"Ext^{i}({a!r}, {b!r}) is nonzero"
+    if _ext1_digraph_has_cycle(objs):
+        return "the Ext^1 digraph on the summands has a cycle"
+    return None
 
 
 def is_partial_silting(col: DCollection) -> bool:
-    objs = col.sorted()
-    return all(_positive_ext(a, b) is None for a in objs for b in objs)
+    return _explain_not_partial_silting(col.sorted()) is None
 
 
 def is_silting(col: DCollection) -> bool:
-    return len(col.summands) == col.rs.n and is_partial_silting(col)
+    return explain_not_silting(col) is None
 
 
 def cluster_tilting_window(m: int) -> WindowSpec:
@@ -162,16 +188,7 @@ def is_hom_leq0_config(col: DCollection) -> bool:
     """The four configuration conditions: n summands; pairwise Hom vanishing;
     no negative self-extensions; acyclic Ext^1 digraph.  Exceptionality of
     the summands is automatic in Dynkin type."""
-    objs = col.sorted()
-    if len(objs) != col.rs.n:
-        return False
-    for a in objs:
-        for b in objs:
-            if a != b and hom_dim(a, b):
-                return False
-            if _negative_ext(a, b) is not None:
-                return False
-    return not _ext1_digraph_has_cycle(objs)
+    return explain_not_config(col) is None
 
 
 def is_m_config(col: DCollection, m: int) -> bool:
@@ -179,34 +196,6 @@ def is_m_config(col: DCollection, m: int) -> bool:
         raise ValueError("m must be non-negative")
     return (all(0 <= x.degree <= m for x in col.summands)
             and is_hom_leq0_config(col))
-
-
-def explain_not_silting(col: DCollection) -> str | None:
-    """A human-readable reason col is not silting, or None when it is."""
-    if len(col.summands) != col.rs.n:
-        return f"silting needs {col.rs.n} summands, found {len(col.summands)}"
-    for a in col.sorted():
-        for b in col.sorted():
-            i = _positive_ext(a, b)
-            if i is not None:
-                return f"Ext^{i}({a!r}, {b!r}) is nonzero"
-    return None
-
-
-def explain_not_config(col: DCollection) -> str | None:
-    objs = col.sorted()
-    if len(objs) != col.rs.n:
-        return f"a configuration needs {col.rs.n} summands, found {len(objs)}"
-    for a in objs:
-        for b in objs:
-            if a != b and hom_dim(a, b):
-                return f"Hom({a!r}, {b!r}) is nonzero"
-            i = _negative_ext(a, b)
-            if i is not None:
-                return f"Ext^{i}({a!r}, {b!r}) is nonzero"
-    if _ext1_digraph_has_cycle(objs):
-        return "the Ext^1 digraph on the summands has a cycle"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +220,9 @@ def _cliques_of_size(count: int, neighbours: list[set[int]], k: int) -> list[tup
     return out
 
 
-def _enumerate(rs: RootSystemData, w: WindowSpec, compatible, predicate) -> list[DCollection]:
+def _enumerate(rs: RootSystemData, w: WindowSpec, compatible) -> list[tuple[DObj, ...]]:
+    """The n-cliques of the compatibility graph on the window, each sorted by
+    (degree, root), in lexicographic order."""
     objs = window_objects(rs, w)
     if any(not compatible(x, x) for x in objs):
         objs = [x for x in objs if compatible(x, x)]
@@ -239,21 +230,20 @@ def _enumerate(rs: RootSystemData, w: WindowSpec, compatible, predicate) -> list
         {j for j in range(len(objs)) if j != i and compatible(objs[i], objs[j])}
         for i in range(len(objs))
     ]
-    found = []
-    for idxs in _cliques_of_size(len(objs), neighbours, rs.n):
-        col = collection(objs[i] for i in idxs)
-        if predicate(col):
-            found.append(col)
-    found.sort(key=lambda c: tuple((x.degree, x.root) for x in c.sorted()))
-    return found
+    # window_objects lists objects in (degree, root) order and the cliques
+    # come out with indices ascending in lexicographic order, so the result
+    # is already in canonical order.
+    return [tuple(objs[i] for i in idxs)
+            for idxs in _cliques_of_size(len(objs), neighbours, rs.n)]
 
 
 def enumerate_silting(rs: RootSystemData, w: WindowSpec) -> list[DCollection]:
-    return _enumerate(rs, w, _silting_compatible, is_silting)
+    return [collection(c) for c in _enumerate(rs, w, _silting_compatible)]
 
 
 def enumerate_configs(rs: RootSystemData, w: WindowSpec) -> list[DCollection]:
-    return _enumerate(rs, w, _config_compatible, is_hom_leq0_config)
+    return [collection(c) for c in _enumerate(rs, w, _config_compatible)
+            if not _ext1_digraph_has_cycle(c)]
 
 
 ENUMERATION_KINDS = (

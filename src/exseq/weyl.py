@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .derived import DObj, ext_dim, hom_dim, shift
+from .derived import DObj, nonzero_exts, shift
 from .roots import (
     DimVector, IntMatrix, RootSystemData, exact_rank,
     mat_identity, mat_mul,
@@ -216,7 +216,7 @@ def wide_subcategory(chunk: Iterable[DObj]) -> frozenset[DObj]:
     out = []
     for root in range(len(rs.positive_roots)):
         z = DObj(rs, root, 0)
-        if all(hom_dim(g, z) == 0 and ext_dim(g, z, 1) == 0 for g in appended):
+        if not any(nonzero_exts(g, z) for g in appended):
             out.append(z)
     return frozenset(out)
 
@@ -336,10 +336,16 @@ def nc_to_dict(group: WeylGroup, parts: NCTuple, with_matrices: bool = False) ->
 
 def nc_from_dict(group: WeylGroup, data: dict) -> NCTuple:
     rs = group.rs
+    try:
+        words = [[rs.root_of(tuple(dim)) for dim in word]
+                 for word in data["reflection_words"]]
+    except (KeyError, TypeError):
+        raise ValueError(f"noncrossing record {data!r} is not of the form "
+                         '{"reflection_words": [[root, ...], ...]}') from None
     parts = []
-    for word in data["reflection_words"]:
+    for word in words:
         u = mat_identity(rs.n)
-        for dim in word:
-            u = mat_mul(u, reflection_matrix(rs, rs.root_of(tuple(dim))))
+        for root in word:
+            u = mat_mul(u, reflection_matrix(rs, root))
         parts.append(u)
     return tuple(parts)

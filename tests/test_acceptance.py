@@ -18,6 +18,7 @@ from exseq import (
     riedtmann_to_config, sequence_reflection_product, shift,
     silting_to_config, torsion_window,
 )
+from exseq.derived import nonzero_exts
 from exseq.sequences import mu_rev_inverse_steps, mu_rev_steps
 from exseq.silting import order_config, order_silting
 
@@ -202,6 +203,10 @@ def test_criterion_7_hom_oracle():
             if -2 <= y.degree - x.degree <= 2:
                 assert hom_dim(x, y) == derived_hom_oracle(rs, x, y), (x, y)
                 pairs += 1
+            base = x.degree - y.degree
+            exts = ((i, derived_hom_oracle(rs, x, shift(y, i)))
+                    for i in range(base - 2, base + 4))
+            assert nonzero_exts(x, y) == tuple((i, d) for i, d in exts if d), (x, y)
     report("criterion 7 (hom oracle equivalence)", True, f"{pairs} pairs")
 
 

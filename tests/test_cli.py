@@ -1,4 +1,5 @@
 """Command-line interface: reports, artifacts, exit codes."""
+import hashlib
 import json
 
 import pytest
@@ -147,6 +148,57 @@ def test_riedtmann_verify(capsys):
     assert payload["passed"] is True
 
 
+RECORD_COMMANDS = {
+    "biject": ["biject", "--type", "A2", "--direction", "silting-to-config"],
+    "torsion": ["torsion", "--type", "A2", "--window", "-1:2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(RECORD_COMMANDS))
+@pytest.mark.parametrize("text", [None, "[1,"], ids=["missing-file", "invalid-json"])
+def test_unreadable_input_is_usage_error(capsys, tmp_path, command, text):
+    infile = tmp_path / "in.json"
+    if text is not None:
+        infile.write_text(text)
+    code = main(RECORD_COMMANDS[command] + ["--in", str(infile)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", sorted(RECORD_COMMANDS))
+@pytest.mark.parametrize("record", [
+    [{"dim": [1, 0]}, {"dim": [1, 1], "deg": 0}],     # no "deg"
+    {"dim": [1, 0], "deg": 0},                         # an object, not a list
+    [[1, 0], [1, 1]],                                  # objects without keys
+    5,
+], ids=["no-deg", "object", "bare-lists", "number"])
+def test_malformed_record_is_reported(capsys, tmp_path, command, record):
+    infile = tmp_path / "in.json"
+    good = [{"dim": [1, 1], "deg": 0}, {"dim": [1, 0], "deg": 0}]
+    infile.write_text(json.dumps([record, good]))
+    code, payload = run(capsys, *RECORD_COMMANDS[command], "--in", str(infile))
+    assert code == 1
+    assert payload["failures"] == 1
+    assert "error" in payload["records"][0]
+    assert "error" not in payload["records"][1]
+
+
+def test_malformed_orientation_is_usage_error(capsys):
+    code = main(["enumerate", "--type", "A2", "--m", "1", "--kind", "m-config",
+                 "--orientation", "[1,2]"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_biject_past_weyl_guard_is_usage_error(capsys, tmp_path):
+    infile = tmp_path / "empty.json"
+    infile.write_text("[]")
+    code = main(["biject", "--type", "E7", "--direction", "nc-to-config",
+                 "--in", str(infile)])
+    assert code == 2
+    assert "enumeration guard" in capsys.readouterr().err
+
+
 def test_torsion_command(capsys, tmp_path):
     infile = tmp_path / "silting.json"
     infile.write_text(json.dumps([
@@ -155,6 +207,7 @@ def test_torsion_command(capsys, tmp_path):
     code, payload = run(capsys, "torsion", "--type", "A2", "--in", str(infile),
                         "--window", "-1:2")
     assert code == 0
+    assert payload["failures"] == 0
     members = payload["records"][0]["torsion_window"]
     assert {"dim": [1, 0], "deg": 0} in members
     assert {"dim": [0, 1], "deg": 0} not in members
@@ -168,14 +221,36 @@ def test_custom_orientation(capsys):
     assert payload["counts"]["m-config"] == 14
 
 
+GOLDEN_ENUMERATIONS = [
+    ("A3", 2, "m-cluster-tilting",
+     "ac99d6d1c0a8ad7f552b2671175750db8c68a82ef876fbaa7b6700f8f8103344"),
+    ("D4", 1, "m-config",
+     "e91d03dfda8c5340883bf17b56fcb1e1e43874918073e792de149028a5a20ab3"),
+    ("D4", 2, "m-config-minus",
+     "9ca6a5f315072b3fa602334bb988547072b93dbe6769b0027a102048072720d7"),
+]
+
+
 def test_output_byte_stable(capsys, tmp_path):
-    texts = []
-    for name in ("one.json", "two.json"):
-        out = tmp_path / name
-        code, _ = run(capsys, "enumerate", "--type", "A3", "--m", "2",
-                      "--kind", "m-cluster-tilting", "--out", str(out))
-        assert code == 0
-        payload = json.loads(out.read_text())
-        del payload["elapsed_seconds"]
-        texts.append(json.dumps(payload, sort_keys=True))
-    assert texts[0] == texts[1]
+    for qtype, m, kind, digest in GOLDEN_ENUMERATIONS:
+        texts = []
+        for name in ("one.json", "two.json"):
+            out = tmp_path / name
+            code, _ = run(capsys, "enumerate", "--type", qtype, "--m", str(m),
+                          "--kind", kind, "--out", str(out))
+            assert code == 0
+            payload = json.loads(out.read_text())
+            del payload["elapsed_seconds"]
+            texts.append(json.dumps(payload, sort_keys=True))
+        assert texts[0] == texts[1]
+        assert hashlib.sha256(texts[0].encode()).hexdigest() == digest, (qtype, m, kind)
+
+
+@pytest.mark.parametrize("qtype,count", [("A3", 16), ("D4", 162)])
+def test_verify_checks_complete_sequence_count(capsys, qtype, count):
+    code, payload = run(capsys, "verify", "--type", qtype, "--m", "1")
+    assert code == 0
+    check = next(c for c in payload["checks"]
+                 if c["name"] == "count complete exceptional sequences")
+    assert check == {"name": "count complete exceptional sequences",
+                     "expected": count, "actual": count, "passed": True}

@@ -110,6 +110,47 @@ def test_positive_enumeration_counts(family, rank, m, count):
     assert len(enumerate_kind(rs, "m-config-minus", m)) == count
 
 
+def _admissible_quivers(family, rank):
+    """Every numbering of the Dynkin diagram with arrows from smaller to
+    larger vertex."""
+    from exseq import QuiverDescriptor, QuiverError
+    pairs = list(itertools.combinations(range(1, rank + 1), 2))
+    for arrows in itertools.combinations(pairs, rank - 1):
+        try:
+            yield QuiverDescriptor(family, rank, arrows)
+        except QuiverError:
+            pass
+
+
+@pytest.mark.parametrize("family,rank,orientations", [("A", 3, 3), ("D", 4, 4)])
+def test_enumerated_collections_pass_public_predicates(family, rank, orientations):
+    from exseq import build_root_system, fuss_catalan
+    from exseq.silting import config_minus_window, shifted_silting_window
+    quivers = list(_admissible_quivers(family, rank))
+    assert len(quivers) == orientations
+    for q in quivers:
+        rs = build_root_system(q)
+        for m in (1, 2):
+            checks = {
+                "m-cluster-tilting": (fuss_catalan(rs, m),
+                                      lambda c: is_m_cluster_tilting(c, m)),
+                "m-config": (fuss_catalan(rs, m), lambda c: is_m_config(c, m)),
+                "m-config-minus": (
+                    abs(fuss_catalan(rs, -m - 1)),
+                    lambda c: is_m_config(c, m) and all(
+                        config_minus_window(m).contains(x) for x in c.summands)),
+                "silting-deg1-window": (
+                    abs(fuss_catalan(rs, -m - 1)),
+                    lambda c: is_silting(c) and all(
+                        shifted_silting_window(m).contains(x) for x in c.summands)),
+            }
+            for kind, (count, predicate) in checks.items():
+                found = enumerate_kind(rs, kind, m)
+                assert len(set(found)) == len(found) == count, (q, kind, m)
+                bad = [c for c in found if not predicate(c)]
+                assert not bad, (q, kind, m, bad[:1])
+
+
 def test_enumerate_kind_validation(a2):
     with pytest.raises(ValueError):
         enumerate_kind(a2, "m-config", 0)
