@@ -71,26 +71,26 @@ def mat_neg(m: IntMatrix) -> IntMatrix:
     return tuple(tuple(-x for x in row) for row in m)
 
 
-def exact_rank(m) -> int:
-    """Rank of an integer matrix, by fraction-free Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in m]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+def null_space(m: IntMatrix) -> list[DimVector]:
+    """A basis of the kernel {x : m x = 0} of an integer matrix, as integer
+    vectors.  Bareiss fraction-free elimination reduces [m^T | I]; the rows
+    whose m^T part becomes zero carry a kernel basis in their I part."""
+    k, n = len(m), len(m[0])
+    rows = [[m[i][j] for i in range(k)] + [int(i == j) for i in range(n)]
+            for j in range(n)]
+    rank, prev = 0, 1
+    for col in range(k):
+        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+        top = rows[rank]
+        for r in range(rank + 1, n):
+            # Exact: every entry is a minor of [m^T | I] (Bareiss).
+            rows[r] = [(top[col] * x - rows[r][col] * y) // prev
+                       for x, y in zip(rows[r], top)]
+        rank, prev = rank + 1, top[col]
+    return [tuple(row[k:]) for row in rows[rank:]]
 
 
 # ---------------------------------------------------------------------------

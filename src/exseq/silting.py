@@ -4,8 +4,9 @@ A DCollection is an unordered basic object (a set of distinct stalk
 indecomposables).  Predicates here are exact, each derived from the
 function that explains its failure.  Enumeration searches for n-cliques of
 the pairwise compatibility graph on the indecomposables of a degree window;
-a clique is already silting, and a configuration clique needs only the
-cycle condition H4, the one condition that is not pairwise.
+a clique is already silting, and a configuration clique is already a
+configuration, because the cycle condition H4 holds on every set of
+indecomposables in Dynkin type (see enumerate_configs).
 """
 from __future__ import annotations
 
@@ -242,8 +243,18 @@ def enumerate_silting(rs: RootSystemData, w: WindowSpec) -> list[DCollection]:
 
 
 def enumerate_configs(rs: RootSystemData, w: WindowSpec) -> list[DCollection]:
-    return [collection(c) for c in _enumerate(rs, w, _config_compatible)
-            if not _ext1_digraph_has_cycle(c)]
+    """The configurations in the window: the n-cliques of the pairwise
+    conditions, with no check of H4.
+
+    H4 holds on any set of indecomposables in Dynkin type.  For stalks M[a]
+    and N[b], Ext^1(M[a], N[b]) != 0 needs b = a - 1, where the degree
+    drops, or b = a.  In the second case Ext^1_H(M, N) = D Hom(N, tau M) != 0,
+    so N lies before M in the directed AR quiver.  Degrees never rise along
+    an edge, so a cycle stays in one degree, where every edge goes strictly
+    back in the AR order: there is none.  explain_not_config keeps H4, as
+    the definition does.
+    """
+    return [collection(c) for c in _enumerate(rs, w, _config_compatible)]
 
 
 ENUMERATION_KINDS = (

@@ -9,20 +9,19 @@ collecting the simples of the wide subcategories they generate.
 """
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterable, Iterator
 
 from .derived import DObj, nonzero_exts, shift
 from .roots import (
-    DimVector, IntMatrix, RootSystemData, exact_rank,
-    mat_identity, mat_mul,
+    DimVector, IntMatrix, RootSystemData, fuss_catalan, mat_identity, mat_mul,
+    mat_vec, null_space,
 )
 from .sequences import MutationError, complete_sequence, is_exceptional
 from .silting import DCollection, collection, is_m_config, order_config
 
 WeylElt = IntMatrix
 NCTuple = tuple[WeylElt, ...]
-
-_GROUP_SIZE_GUARD = 200_000
 
 
 def reflection_matrix(rs: RootSystemData, root: int) -> WeylElt:
@@ -45,80 +44,81 @@ def reflection_matrix(rs: RootSystemData, root: int) -> WeylElt:
 
 def coxeter_element(rs: RootSystemData) -> WeylElt:
     """The product s_1 ... s_n of the simple reflections in vertex order."""
-    out = mat_identity(rs.n)
-    for i in range(rs.n):
-        out = mat_mul(out, reflection_matrix(rs, i))
-    return out
+    return reduce(mat_mul, (reflection_matrix(rs, i) for i in range(rs.n)),
+                  mat_identity(rs.n))
 
 
 def abs_length(rs: RootSystemData, w: WeylElt) -> int:
-    """The reflection length of w, computed as rank(w - id) exactly."""
-    n = rs.n
-    return exact_rank(
-        [[w[i][j] - (i == j) for j in range(n)] for i in range(n)]
-    )
+    """The reflection length of w, computed exactly as n - dim ker(w - id)."""
+    return rs.n - len(_fixed_space(w))
+
+
+def _fixed_space(w: WeylElt) -> list[DimVector]:
+    """A basis of Fix(w) = ker(w - id)."""
+    n = len(w)
+    return null_space([[w[i][j] - (i == j) for j in range(n)] for i in range(n)])
 
 
 class WeylGroup:
-    """A fully enumerated Weyl group with its reflections and Coxeter element.
+    """The noncrossing interval [1, c] of a Weyl group, with its reflections
+    and Coxeter element c = s_1 ... s_n.
 
-    Carries the reflection <-> positive-root index maps, precomputed
-    inverses, and cached absolute lengths.  Desk scale only; construction
-    refuses groups past a size guard.
+    [1, c] holds the elements below c in the absolute order; it has the
+    Catalan number fuss_catalan(rs, 1) of elements, far fewer than the
+    group.  It is built by descent from c: t.u lies below u exactly when
+    the root of t is orthogonal to Fix(u) (Bessis; Brady-Watt), and every
+    element below c is reached this way.  Each element carries its
+    absolute length and its inverse, so every query on [1, c] is a lookup.
     """
 
     def __init__(self, rs: RootSystemData):
-        expected = rs.weyl_order()
-        if expected > _GROUP_SIZE_GUARD:
-            raise ValueError(
-                f"Weyl group of order {expected} exceeds the enumeration guard"
-            )
+        n = rs.n
         self.rs = rs
-        self.identity: WeylElt = mat_identity(rs.n)
-        self.simples: tuple[WeylElt, ...] = tuple(
-            reflection_matrix(rs, i) for i in range(rs.n)
-        )
+        self.identity: WeylElt = mat_identity(n)
         self.reflections: tuple[WeylElt, ...] = tuple(
             reflection_matrix(rs, r) for r in range(len(rs.positive_roots))
         )
-        self.reflection_root: dict[WeylElt, int] = {
-            t: r for r, t in enumerate(self.reflections)
-        }
-        if len(self.reflection_root) != len(rs.positive_roots):
+        if len(set(self.reflections)) != len(rs.positive_roots):
             raise MutationError("reflections along distinct roots coincide")
-
-        elements: dict[WeylElt, WeylElt] = {self.identity: self.identity}
-        frontier = [self.identity]
-        while frontier:
-            w = frontier.pop()
-            w_inv = elements[w]
-            for s in self.simples:
-                new = mat_mul(s, w)
-                if new not in elements:
-                    elements[new] = mat_mul(w_inv, s)
-                    frontier.append(new)
-        if len(elements) != expected:
-            raise MutationError(
-                f"group closure found {len(elements)} elements, expected {expected}"
-            )
-        self._inverse = elements
-        self.elements: tuple[WeylElt, ...] = tuple(sorted(elements))
         self.coxeter: WeylElt = coxeter_element(rs)
-        self._length: dict[WeylElt, int] = {}
+        c_inv = reduce(mat_mul, reversed(self.reflections[:n]), self.identity)
+
+        interval = {self.coxeter: (n, c_inv)}
+        level = [self.coxeter]
+        for length in range(n - 1, -1, -1):
+            below = []
+            for u in level:
+                u_inv = interval[u][1]
+                normals = [mat_vec(rs.sym_matrix, f) for f in _fixed_space(u)]
+                for t, alpha in zip(self.reflections, rs.positive_roots):
+                    if any(sum(a * g for a, g in zip(alpha, normal))
+                           for normal in normals):
+                        continue
+                    tu = mat_mul(t, u)
+                    if tu not in interval:
+                        interval[tu] = (length, mat_mul(u_inv, t))
+                        below.append(tu)
+            level = below
+        expected = fuss_catalan(rs, 1)
+        if len(interval) != expected:
+            raise MutationError(
+                f"descent from c found {len(interval)} elements, expected {expected}"
+            )
+        self._interval = interval
+        self.elements: tuple[WeylElt, ...] = tuple(sorted(interval))
 
     def inverse(self, w: WeylElt) -> WeylElt:
-        return self._inverse[w]
+        """The inverse of an element of [1, c]."""
+        return self._interval[w][1]
 
     def abs_length(self, w: WeylElt) -> int:
-        cached = self._length.get(w)
-        if cached is None:
-            cached = self._length[w] = abs_length(self.rs, w)
-        return cached
+        """The reflection length: a lookup on [1, c], computed off it."""
+        entry = self._interval.get(w)
+        return abs_length(self.rs, w) if entry is None else entry[0]
 
     def below_coxeter(self, w: WeylElt) -> bool:
         """Whether w lies below c in the absolute order."""
-        rest = mat_mul(self.inverse(w), self.coxeter)
-        return self.abs_length(w) + self.abs_length(rest) == self.rs.n
+        return w in self._interval
 
 
 def generate_weyl(rs: RootSystemData) -> WeylGroup:
@@ -146,7 +146,9 @@ def enumerate_m_nc(group: WeylGroup, m: int) -> list[NCTuple]:
             if lu > lv:
                 continue
             rest = mat_mul(group.inverse(u), v)
-            if group.abs_length(rest) == lv - lu:
+            # Both factors of a T-reduced split of v <= c lie below v, so
+            # the lookup on [1, c] decides the split exactly.
+            if group.below_coxeter(rest) and group.abs_length(rest) == lv - lu:
                 split(rest, parts - 1, prefix + (u,))
 
     split(group.coxeter, m + 1, ())
@@ -175,7 +177,7 @@ def _factorization_words(group: WeylGroup, w: WeylElt, length: int
         return
     for r, t in enumerate(group.reflections):
         rest = mat_mul(t, w)
-        if group.abs_length(rest) == length - 1:
+        if group.below_coxeter(rest) and group.abs_length(rest) == length - 1:
             for tail in _factorization_words(group, rest, length - 1):
                 yield (r,) + tail
 
@@ -189,10 +191,8 @@ def sequence_reflection_product(seq: Iterable[DObj]) -> WeylElt:
     items = tuple(seq)
     if not items:
         raise ValueError("empty sequence has no reflection product")
-    out = mat_identity(items[0].rs.n)
-    for x in items:
-        out = mat_mul(out, reflection_of_object(x))
-    return out
+    return reduce(mat_mul, map(reflection_of_object, items),
+                  mat_identity(items[0].rs.n))
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +255,7 @@ def simples_of_wide(objs: Iterable[DObj], expected_rank: int | None = None
 # ---------------------------------------------------------------------------
 
 def _validate_nc(group: WeylGroup, parts: NCTuple) -> None:
-    product = mat_identity(group.rs.n)
-    for u in parts:
-        product = mat_mul(product, u)
-    if product != group.coxeter:
+    if reduce(mat_mul, parts, group.identity) != group.coxeter:
         raise ValueError("tuple does not multiply to the Coxeter element")
     if sum(group.abs_length(u) for u in parts) != group.rs.n:
         raise ValueError("tuple is not T-reduced: lengths do not add to the rank")
@@ -298,20 +295,14 @@ def phi_inverse(group: WeylGroup, col: DCollection, m: int) -> NCTuple:
     """Send an m-configuration to its m-noncrossing partition: chunk the
     configuration by degree (degree d contributes part m+1-d) and multiply
     the reflections of each chunk in exceptional order."""
-    rs = group.rs
     if not is_m_config(col, m):
         raise ValueError("input is not an m-configuration")
     seq = order_config(col)
     parts = []
     for i in range(1, m + 2):
-        degree = m + 1 - i
-        u = mat_identity(rs.n)
-        count = 0
-        for x in seq:
-            if x.degree == degree:
-                u = mat_mul(u, reflection_of_object(x))
-                count += 1
-        if group.abs_length(u) != count:
+        chunk = [x for x in seq if x.degree == m + 1 - i]
+        u = reduce(mat_mul, map(reflection_of_object, chunk), group.identity)
+        if group.abs_length(u) != len(chunk):
             raise MutationError("chunk product is not T-reduced")
         parts.append(u)
     result = tuple(parts)
@@ -342,10 +333,5 @@ def nc_from_dict(group: WeylGroup, data: dict) -> NCTuple:
     except (KeyError, TypeError):
         raise ValueError(f"noncrossing record {data!r} is not of the form "
                          '{"reflection_words": [[root, ...], ...]}') from None
-    parts = []
-    for word in words:
-        u = mat_identity(rs.n)
-        for root in word:
-            u = mat_mul(u, reflection_matrix(rs, root))
-        parts.append(u)
-    return tuple(parts)
+    return tuple(reduce(mat_mul, (reflection_matrix(rs, r) for r in word),
+                        group.identity) for word in words)

@@ -5,6 +5,8 @@ Ext^1 are computed from explicit matrix representations (type A interval
 modules) by exact linear algebra over the rationals, reflection length by
 breadth-first search in the Cayley graph, and Fac-torsion membership by
 checking that the joint image of all homomorphisms covers the target.
+It also lists every admissible numbering of a Dynkin diagram, the input of
+the orientation sweeps.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from exseq.derived import DObj
-from exseq.roots import RootSystemData
+from exseq.roots import QuiverDescriptor, QuiverError, RootSystemData
 from exseq.weyl import WeylGroup, mat_mul
 
 
@@ -181,3 +183,18 @@ def cayley_abs_lengths(group: WeylGroup) -> dict:
                     nxt.append(new)
         frontier = nxt
     return dist
+
+
+# ---------------------------------------------------------------------------
+# Orientations.
+# ---------------------------------------------------------------------------
+
+def admissible_quivers(family: str, rank: int):
+    """Every numbering of the Dynkin diagram with arrows from smaller to
+    larger vertex."""
+    pairs = list(combinations(range(1, rank + 1), 2))
+    for arrows in combinations(pairs, rank - 1):
+        try:
+            yield QuiverDescriptor(family, rank, arrows)
+        except QuiverError:
+            pass

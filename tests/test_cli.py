@@ -190,13 +190,10 @@ def test_malformed_orientation_is_usage_error(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_biject_past_weyl_guard_is_usage_error(capsys, tmp_path):
-    infile = tmp_path / "empty.json"
-    infile.write_text("[]")
-    code = main(["biject", "--type", "E7", "--direction", "nc-to-config",
-                 "--in", str(infile)])
-    assert code == 2
-    assert "enumeration guard" in capsys.readouterr().err
+def test_nc_count_e6(capsys):
+    code, payload = run(capsys, "nc", "--type", "E6", "--m", "1", "--count")
+    assert code == 0
+    assert payload["counts"]["m-noncrossing-partitions"] == 833
 
 
 def test_torsion_command(capsys, tmp_path):
@@ -221,29 +218,34 @@ def test_custom_orientation(capsys):
     assert payload["counts"]["m-config"] == 14
 
 
-GOLDEN_ENUMERATIONS = [
-    ("A3", 2, "m-cluster-tilting",
+GOLDEN_OUTPUTS = [
+    (("enumerate", "--type", "A3", "--m", "2", "--kind", "m-cluster-tilting"),
      "ac99d6d1c0a8ad7f552b2671175750db8c68a82ef876fbaa7b6700f8f8103344"),
-    ("D4", 1, "m-config",
+    (("enumerate", "--type", "D4", "--m", "1", "--kind", "m-config"),
      "e91d03dfda8c5340883bf17b56fcb1e1e43874918073e792de149028a5a20ab3"),
-    ("D4", 2, "m-config-minus",
+    (("enumerate", "--type", "D4", "--m", "2", "--kind", "m-config-minus"),
      "9ca6a5f315072b3fa602334bb988547072b93dbe6769b0027a102048072720d7"),
+    (("nc", "--type", "A3", "--m", "2"),
+     "ddae1c66d23076956e40357812333a3cd3a2cfbaca00968b41a6102293da5fc8"),
+    (("nc", "--type", "D4", "--m", "1", "--matrices"),
+     "d500effef3fc0d9b19b2a92f8f488a4a5ff3d6d4daf7dc773954a38b37e827b2"),
+    (("nc", "--type", "B2", "--m", "2"),
+     "c0433686ef7c9af26569374918bb27194655167a0abc5cc3ea3ece1769209e63"),
 ]
 
 
 def test_output_byte_stable(capsys, tmp_path):
-    for qtype, m, kind, digest in GOLDEN_ENUMERATIONS:
+    for argv, digest in GOLDEN_OUTPUTS:
         texts = []
         for name in ("one.json", "two.json"):
             out = tmp_path / name
-            code, _ = run(capsys, "enumerate", "--type", qtype, "--m", str(m),
-                          "--kind", kind, "--out", str(out))
+            code, _ = run(capsys, *argv, "--out", str(out))
             assert code == 0
             payload = json.loads(out.read_text())
             del payload["elapsed_seconds"]
             texts.append(json.dumps(payload, sort_keys=True))
         assert texts[0] == texts[1]
-        assert hashlib.sha256(texts[0].encode()).hexdigest() == digest, (qtype, m, kind)
+        assert hashlib.sha256(texts[0].encode()).hexdigest() == digest, argv
 
 
 @pytest.mark.parametrize("qtype,count", [("A3", 16), ("D4", 162)])

@@ -176,3 +176,21 @@ def test_root_system_debug_export(a2):
 def test_doctests():
     failures, _ = doctest.testmod(exseq.roots)
     assert failures == 0
+
+
+@given(st.integers(1, 6).flatmap(lambda k: st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                       min_size=k, max_size=k))))
+def test_null_space_matches_rational_oracle(m):
+    from fractions import Fraction
+    from exseq.roots import null_space
+    from oracle import nullspace, rref
+    n = len(m[0])
+    basis = null_space(m)
+    assert all(sum(row[j] * v[j] for j in range(n)) == 0
+               for v in basis for row in m)
+    exact = [[Fraction(x) for x in row] for row in m]
+    assert len(basis) == len(nullspace(exact, n))
+    if basis:
+        _, pivots = rref([[Fraction(x) for x in v] for v in basis])
+        assert len(pivots) == len(basis)

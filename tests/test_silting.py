@@ -14,6 +14,8 @@ from exseq.silting import (
     explain_not_silting, order_config, order_silting,
 )
 
+from oracle import admissible_quivers
+
 
 def test_silting_predicates_a2(a2):
     s1, s2, p1 = simple(a2, 1), simple(a2, 2), proj(a2, 1)
@@ -110,23 +112,24 @@ def test_positive_enumeration_counts(family, rank, m, count):
     assert len(enumerate_kind(rs, "m-config-minus", m)) == count
 
 
-def _admissible_quivers(family, rank):
-    """Every numbering of the Dynkin diagram with arrows from smaller to
-    larger vertex."""
-    from exseq import QuiverDescriptor, QuiverError
-    pairs = list(itertools.combinations(range(1, rank + 1), 2))
-    for arrows in itertools.combinations(pairs, rank - 1):
-        try:
-            yield QuiverDescriptor(family, rank, arrows)
-        except QuiverError:
-            pass
+@pytest.mark.parametrize("family,rank", [("A", 3), ("A", 4), ("D", 4)])
+def test_ext1_digraph_acyclic_on_windows(family, rank):
+    # H4 holds on any set of indecomposables in Dynkin type, which is why
+    # enumerate_configs does not check it.
+    from graphlib import TopologicalSorter
+    from exseq import build_root_system
+    from exseq.derived import WindowSpec, ext_dim, window_objects
+    for q in admissible_quivers(family, rank):
+        objs = window_objects(build_root_system(q), WindowSpec(-1, 3))
+        graph = {x: {y for y in objs if ext_dim(x, y, 1)} for x in objs}
+        TopologicalSorter(graph).prepare()    # raises CycleError on a cycle
 
 
 @pytest.mark.parametrize("family,rank,orientations", [("A", 3, 3), ("D", 4, 4)])
 def test_enumerated_collections_pass_public_predicates(family, rank, orientations):
     from exseq import build_root_system, fuss_catalan
     from exseq.silting import config_minus_window, shifted_silting_window
-    quivers = list(_admissible_quivers(family, rank))
+    quivers = list(admissible_quivers(family, rank))
     assert len(quivers) == orientations
     for q in quivers:
         rs = build_root_system(q)

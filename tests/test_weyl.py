@@ -5,29 +5,22 @@ import pytest
 
 from exseq import (
     DObj, abs_length, collection, coxeter_element, enumerate_complete_sequences,
-    enumerate_kind, enumerate_m_nc, generate_weyl, mutate, phi, phi_inverse,
-    proj, reflection_factorizations, reflection_matrix, reflection_of_object,
-    sequence_reflection_product, shift, simple, simples_of_wide, wide_subcategory,
+    enumerate_kind, enumerate_m_nc, fuss_catalan, generate_weyl, mutate, phi,
+    phi_inverse, proj, reflection_factorizations, reflection_matrix,
+    reflection_of_object, sequence_reflection_product, shift, simple,
+    simples_of_wide, wide_subcategory,
 )
 from exseq.weyl import mat_identity, mat_mul, nc_from_dict, nc_to_dict
 
-from oracle import cayley_abs_lengths
+from oracle import admissible_quivers, cayley_abs_lengths
 
 
 def test_group_sizes(a1, a2, b2):
-    assert len(generate_weyl(a2).elements) == 6
-    assert len(generate_weyl(a2).reflections) == 3
-    assert len(generate_weyl(a1).elements) == 2
-    gb = generate_weyl(b2)
-    assert len(gb.elements) == 8
-    assert len(gb.reflections) == 4
-
-
-def test_group_size_guard():
-    from exseq import QuiverDescriptor, build_root_system
-    rs = build_root_system(QuiverDescriptor.standard("E", 8))
-    with pytest.raises(ValueError):
-        generate_weyl(rs)
+    for rs, order, reflections in ((a1, 2, 1), (a2, 6, 3), (b2, 8, 4)):
+        group = generate_weyl(rs)
+        assert len(cayley_abs_lengths(group)) == order
+        assert len(group.elements) == fuss_catalan(rs, 1)
+        assert len(group.reflections) == reflections
 
 
 def test_coxeter_element_order(a2, a3, d4, b2):
@@ -58,9 +51,31 @@ def test_abs_length_matches_cayley_bfs(a3, b2):
     for rs in (a3, b2):
         group = generate_weyl(rs)
         dist = cayley_abs_lengths(group)
-        assert len(dist) == len(group.elements)
+        assert len(dist) == rs.weyl_order()
+        for w, length in dist.items():
+            assert abs_length(rs, w) == length
+            assert group.abs_length(w) == length
+
+
+def _interval_oracle(group):
+    """[1, c] as {w : d(w) + d(w^-1 c) = n}, d the Cayley-graph distance."""
+    dist = cayley_abs_lengths(group)
+    c_inv = group.identity    # c has order h, so c^-1 = c^(h-1)
+    for _ in range(group.rs.coxeter_number - 1):
+        c_inv = mat_mul(c_inv, group.coxeter)
+    # d(w^-1 c) = d(c^-1 w), since an element and its inverse have one length.
+    return {w for w, length in dist.items()
+            if length + dist[mat_mul(c_inv, w)] == group.rs.n}
+
+
+def test_interval_matches_cayley_bfs(b2, d4):
+    from exseq import build_root_system
+    quivers = [d4.quiver] + list(admissible_quivers("A", 3))
+    for rs in [b2] + [build_root_system(q) for q in quivers]:
+        group = generate_weyl(rs)
+        assert set(group.elements) == _interval_oracle(group), rs.quiver
         for w in group.elements:
-            assert group.abs_length(w) == dist[w]
+            assert mat_mul(group.inverse(w), w) == group.identity
 
 
 def test_reflection_matrices_are_involutions(d4):
@@ -70,7 +85,6 @@ def test_reflection_matrices_are_involutions(d4):
 
 
 def test_nc_counts(a2, a3, d4, b2):
-    from exseq import fuss_catalan
     for rs in (a2, a3, d4, b2):
         group = generate_weyl(rs)
         for m in (1, 2):
@@ -100,12 +114,12 @@ def test_reflection_factorizations(a2, a3):
 
 def test_factorizations_need_below_coxeter(a3):
     group = generate_weyl(a3)
-    # The longest element of A3 is not below c in absolute order.
-    longest = max(group.elements, key=group.abs_length)
-    if group.below_coxeter(longest):
-        pytest.skip("longest element unexpectedly below c")
-    with pytest.raises(ValueError):
-        reflection_factorizations(group, longest)
+    outside = set(cayley_abs_lengths(group)) - set(group.elements)
+    assert len(outside) == 24 - 14
+    for w in outside:
+        assert not group.below_coxeter(w)
+        with pytest.raises(ValueError):
+            reflection_factorizations(group, w)
 
 
 def test_factorization_count_equals_sequence_count(a2, a3):
@@ -214,20 +228,22 @@ def test_phi_validates_input(a2):
 
 
 @pytest.mark.parametrize("family,rank,ms", [
-    ("A", 2, (1, 2)), ("A", 3, (1, 2)),
+    ("A", 2, (1, 2)), ("A", 3, (1, 2)), ("D", 4, (1,)),
 ])
 def test_phi_bijection(family, rank, ms):
-    from exseq import QuiverDescriptor, build_root_system
-    rs = build_root_system(QuiverDescriptor.standard(family, rank))
-    group = generate_weyl(rs)
-    for m in ms:
-        configs = set(enumerate_kind(rs, "m-config", m))
-        image = set()
-        for t in enumerate_m_nc(group, m):
-            out = phi(group, t)
-            assert phi_inverse(group, out, m) == t
-            image.add(out)
-        assert image == configs
+    # The interval [1, c] depends on c, so every admissible numbering counts.
+    from exseq import build_root_system
+    for q in admissible_quivers(family, rank):
+        rs = build_root_system(q)
+        group = generate_weyl(rs)
+        for m in ms:
+            configs = set(enumerate_kind(rs, "m-config", m))
+            image = set()
+            for t in enumerate_m_nc(group, m):
+                out = phi(group, t)
+                assert phi_inverse(group, out, m) == t
+                image.add(out)
+            assert image == configs, (q, m)
 
 
 def test_phi_word_independent(a3):
@@ -282,6 +298,5 @@ def test_nc_json_round_trip(a3):
 
 def test_weyl_only_family_full_stack(b2):
     group = generate_weyl(b2)
-    from exseq import fuss_catalan
     assert len(enumerate_m_nc(group, 1)) == fuss_catalan(b2, 1) == 6
     assert abs_length(b2, group.coxeter) == 2
