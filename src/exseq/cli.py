@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import re
 import sys
@@ -14,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from math import factorial
 
-from .derived import WindowSpec, nu_inv, obj_to_dict
+from .derived import DObj, WindowSpec, nu_inv, obj_to_dict
 from .riedtmann import config_to_riedtmann, riedtmann_to_config, torsion_window
 from .roots import QuiverDescriptor, QuiverError, build_root_system, fuss_catalan
 from .sequences import (
@@ -22,7 +23,7 @@ from .sequences import (
     mu_rev_steps, mutate,
 )
 from .silting import (
-    ENUMERATION_KINDS, collection_from_list, collection_to_list,
+    ENUMERATION_KINDS, DCollection, collection_from_list, collection_to_list,
     config_to_silting, enumerate_kind, explain_not_config, explain_not_silting,
     order_config, order_silting, silting_to_config,
 )
@@ -115,12 +116,47 @@ def _read_records(path: str) -> list:
     return records
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+class OutputError(Exception):
+    """An output file could not be written."""
+
+
+def _write(path: str, text: str, newline: str | None = None) -> None:
+    try:
+        with open(path, "w", newline=newline) as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _emit(args, text: str) -> None:
+    """Write a JSON text to --out, if given, and to stdout."""
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
+        _write(args.out, text + "\n")
     print(text)
+
+
+def _collections_json(found: list[DCollection]) -> str:
+    """The indent-2 JSON of [collection_to_list(c) for c in found] as the
+    value of a top-level key.  Each distinct summand is encoded once: an
+    indent-2 encoding at depth L is the depth-0 encoding with every newline
+    followed by 2L more spaces, as JSON strings hold no raw newline."""
+    if not found:
+        return "[]"
+    memo: dict[DObj, str] = {}
+
+    def summand(x: DObj) -> str:
+        text = memo.get(x)
+        if text is None:
+            text = memo[x] = _dumps(obj_to_dict(x)).replace("\n", "\n      ")
+        return text
+
+    rows = ("[\n      " + ",\n      ".join(map(summand, c.sorted())) + "\n    ]"
+            for c in found)
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +174,11 @@ def cmd_enumerate(args) -> int:
     report = RunReport("enumerate", f"{rs.family}{rs.n}", args.m)
     report.counts[args.kind] = len(found)
     report.elapsed = time.perf_counter() - start
-    payload = report.to_dict()
-    payload["objects"] = [collection_to_list(c) for c in found]
-    _emit(args, payload)
+    # The objects are spliced into the encoding of the rest of the report,
+    # at the place sort_keys gives their key; no other key holds "objects".
+    head = _dumps({**report.to_dict(), "objects": None})
+    _emit(args, head.replace('"objects": null',
+                             '"objects": ' + _collections_json(found), 1))
     return 0
 
 
@@ -161,7 +199,7 @@ def cmd_nc(args) -> int:
         payload["objects"] = [
             nc_to_dict(group, t, with_matrices=args.matrices) for t in tuples
         ]
-    _emit(args, payload)
+    _emit(args, _dumps(payload))
     return 0
 
 
@@ -213,8 +251,8 @@ def cmd_biject(args) -> int:
             entry["error"] = str(exc)
             failures += 1
         results.append(entry)
-    _emit(args, {"direction": args.direction, "records": results,
-                 "failures": failures})
+    _emit(args, _dumps({"direction": args.direction, "records": results,
+                        "failures": failures}))
     return 1 if failures else 0
 
 
@@ -308,13 +346,14 @@ def cmd_verify(args) -> int:
         return 2
     report = RunReport("verify", f"{rs.family}{rs.n}", args.m, counts, checks)
     report.elapsed = time.perf_counter() - start
-    _emit(args, report.to_dict())
     if args.csv:
-        with open(args.csv, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["count", "value"])
-            for key, value in sorted(counts.items()):
-                writer.writerow([key, value])
+        table = io.StringIO()
+        writer = csv.writer(table)
+        writer.writerow(["count", "value"])
+        for key, value in sorted(counts.items()):
+            writer.writerow([key, value])
+        _write(args.csv, table.getvalue(), newline="")
+    _emit(args, _dumps(report.to_dict()))
     return 0 if report.passed else 1
 
 
@@ -344,7 +383,7 @@ def cmd_riedtmann(args) -> int:
             abs(fuss_catalan(rs, -2)), len(minus),
             abs(fuss_catalan(rs, -2)) == len(minus)))
     report.elapsed = time.perf_counter() - start
-    _emit(args, report.to_dict())
+    _emit(args, _dumps(report.to_dict()))
     return 0 if report.passed else 1
 
 
@@ -369,8 +408,8 @@ def cmd_torsion(args) -> int:
             entry["error"] = str(exc)
             failures += 1
         results.append(entry)
-    _emit(args, {"window": window.to_dict(), "records": results,
-                 "failures": failures})
+    _emit(args, _dumps({"window": window.to_dict(), "records": results,
+                        "failures": failures}))
     return 1 if failures else 0
 
 
@@ -456,7 +495,11 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_normalize_argv(argv))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -203,21 +203,23 @@ def is_m_config(col: DCollection, m: int) -> bool:
 # Exhaustive enumeration.
 # ---------------------------------------------------------------------------
 
-def _cliques_of_size(count: int, neighbours: list[set[int]], k: int) -> list[tuple[int, ...]]:
-    """All k-cliques, vertices in increasing index order."""
+def _cliques_of_size(count: int, neighbours: list[int], k: int) -> list[tuple[int, ...]]:
+    """All k-cliques of the graph on vertices 0..count-1 whose neighbourhoods
+    are the bitmasks `neighbours`, vertices ascending, in lexicographic order."""
     out: list[tuple[int, ...]] = []
 
-    def grow(clique: list[int], cands: list[int]) -> None:
-        if len(clique) == k:
-            out.append(tuple(clique))
-            return
+    def grow(clique: tuple[int, ...], cands: int) -> None:
         need = k - len(clique)
-        for pos, v in enumerate(cands):
-            if len(cands) - pos < need:
-                return
-            grow(clique + [v], [u for u in cands[pos + 1:] if u in neighbours[v]])
+        if need == 0:
+            out.append(clique)
+            return
+        while cands.bit_count() >= need:
+            low = cands & -cands
+            cands ^= low
+            v = low.bit_length() - 1
+            grow(clique + (v,), cands & neighbours[v])
 
-    grow([], list(range(count)))
+    grow((), (1 << count) - 1)
     return out
 
 
@@ -227,10 +229,13 @@ def _enumerate(rs: RootSystemData, w: WindowSpec, compatible) -> list[tuple[DObj
     objs = window_objects(rs, w)
     if any(not compatible(x, x) for x in objs):
         objs = [x for x in objs if compatible(x, x)]
-    neighbours = [
-        {j for j in range(len(objs)) if j != i and compatible(objs[i], objs[j])}
-        for i in range(len(objs))
-    ]
+    # Both compatibility relations are symmetric: test each pair once.
+    neighbours = [0] * len(objs)
+    for i, a in enumerate(objs):
+        for j in range(i + 1, len(objs)):
+            if compatible(a, objs[j]):
+                neighbours[i] |= 1 << j
+                neighbours[j] |= 1 << i
     # window_objects lists objects in (degree, root) order and the cliques
     # come out with indices ascending in lexicographic order, so the result
     # is already in canonical order.

@@ -24,22 +24,28 @@ WeylElt = IntMatrix
 NCTuple = tuple[WeylElt, ...]
 
 
-def reflection_matrix(rs: RootSystemData, root: int) -> WeylElt:
-    """The reflection along a positive root, as a matrix on column vectors."""
+def _coroot(rs: RootSystemData, root: int) -> DimVector:
+    """The vector beta with reflection_matrix(rs, root) = id - alpha beta^T:
+    beta_j = 2 (alpha, e_j) / (alpha, alpha) under rs.sym_matrix."""
     n = rs.n
     alpha = rs.positive_roots[root]
     aa = sum(alpha[i] * rs.sym_matrix[i][j] * alpha[j]
              for i in range(n) for j in range(n))
-    cols = []
+    beta = []
     for j in range(n):
         pairing = sum(rs.sym_matrix[i][j] * alpha[i] for i in range(n))
         coeff, rem = divmod(2 * pairing, aa)
         if rem:
             raise MutationError("non-integral reflection matrix entry")
-        cols.append(tuple(
-            (1 if i == j else 0) - coeff * alpha[i] for i in range(n)
-        ))
-    return tuple(zip(*cols))
+        beta.append(coeff)
+    return tuple(beta)
+
+
+def reflection_matrix(rs: RootSystemData, root: int) -> WeylElt:
+    """The reflection along a positive root, as a matrix on column vectors."""
+    beta = _coroot(rs, root)
+    return tuple(tuple(int(i == j) - a * b for j, b in enumerate(beta))
+                 for i, a in enumerate(rs.positive_roots[root]))
 
 
 def coxeter_element(rs: RootSystemData) -> WeylElt:
@@ -83,6 +89,8 @@ class WeylGroup:
         self.coxeter: WeylElt = coxeter_element(rs)
         c_inv = reduce(mat_mul, reversed(self.reflections[:n]), self.identity)
 
+        coroots = [_coroot(rs, r) for r in range(len(rs.positive_roots))]
+
         interval = {self.coxeter: (n, c_inv)}
         level = [self.coxeter]
         for length in range(n - 1, -1, -1):
@@ -90,13 +98,20 @@ class WeylGroup:
             for u in level:
                 u_inv = interval[u][1]
                 normals = [mat_vec(rs.sym_matrix, f) for f in _fixed_space(u)]
-                for t, alpha in zip(self.reflections, rs.positive_roots):
+                for alpha, beta in zip(rs.positive_roots, coroots):
                     if any(sum(a * g for a, g in zip(alpha, normal))
                            for normal in normals):
                         continue
-                    tu = mat_mul(t, u)
+                    # t = id - alpha beta^T, so t.u = u - alpha (beta^T u) and
+                    # u^-1.t = u^-1 - (u^-1 alpha) beta^T: rank-one updates.
+                    bu = [sum(b * x for b, x in zip(beta, col)) for col in zip(*u)]
+                    tu = tuple(tuple(x - a * y for x, y in zip(row, bu))
+                               for a, row in zip(alpha, u))
                     if tu not in interval:
-                        interval[tu] = (length, mat_mul(u_inv, t))
+                        ua = mat_vec(u_inv, alpha)
+                        interval[tu] = (length, tuple(
+                            tuple(x - c * b for x, b in zip(row, beta))
+                            for c, row in zip(ua, u_inv)))
                         below.append(tu)
             level = below
         expected = fuss_catalan(rs, 1)

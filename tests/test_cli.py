@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from exseq.cli import main
+from exseq import QuiverDescriptor, build_root_system, enumerate_kind
+from exseq.cli import _collections_json, main
+from exseq.silting import collection_to_list
 
 
 def run(capsys, *argv):
@@ -256,3 +258,73 @@ def test_verify_checks_complete_sequence_count(capsys, qtype, count):
                  if c["name"] == "count complete exceptional sequences")
     assert check == {"name": "count complete exceptional sequences",
                      "expected": count, "actual": count, "passed": True}
+
+
+RAW_LAYOUT_CASES = [
+    ("A3", 2, "m-cluster-tilting", None),
+    ("D4", 2, "m-config-minus", None),
+    ("E6", 1, "m-config", [[1, 2], [1, 3], [1, 4], [2, 5], [3, 6]]),
+]
+
+
+@pytest.mark.parametrize("qtype,m,kind,arrows", RAW_LAYOUT_CASES)
+def test_enumerate_raw_layout(capsys, tmp_path, qtype, m, kind, arrows):
+    argv = ["enumerate", "--type", qtype, "--m", str(m), "--kind", kind]
+    family, rank = qtype[0], int(qtype[1:])
+    if arrows is None:
+        quiver = QuiverDescriptor.standard(family, rank)
+    else:
+        argv += ["--orientation", json.dumps(arrows)]
+        quiver = QuiverDescriptor(family, rank, tuple(map(tuple, arrows)))
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    # The oracle: the plain indent-2 encoder over per-summand dicts.
+    found = enumerate_kind(build_root_system(quiver), kind, m)
+    reference = {
+        "checks": [], "command": "enumerate", "counts": {kind: len(found)},
+        "elapsed_seconds": json.loads(stdout)["elapsed_seconds"], "m": m,
+        "passed": True, "type": qtype,
+        "objects": [collection_to_list(c) for c in found],
+    }
+    expected = json.dumps(reference, indent=2, sort_keys=True) + "\n"
+    # Report the first differing line: pytest's own diff of two texts this
+    # large takes minutes.
+    for name, text in (("stdout", stdout), ("--out", out.read_text())):
+        same = text == expected
+        assert same, next(
+            (f"{name} line {i}: {a!r} != {b!r}" for i, (a, b) in enumerate(
+                zip(text.splitlines(), expected.splitlines()), 1) if a != b),
+            f"{name} differs in length")
+
+
+def test_empty_collection_list_encodes_as_empty_array():
+    assert _collections_json([]) == json.dumps([], indent=2)
+
+
+OUTPUT_COMMANDS = {
+    "enumerate": ["enumerate", "--type", "A2", "--m", "1", "--kind", "m-config"],
+    "nc": ["nc", "--type", "A2", "--m", "1"],
+    "verify": ["verify", "--type", "A2", "--m", "1"],
+    "riedtmann": ["riedtmann", "--type", "A2"],
+    "biject": ["biject", "--type", "A2", "--direction", "silting-to-config"],
+    "torsion": ["torsion", "--type", "A2", "--window", "-1:2"],
+}
+
+
+@pytest.mark.parametrize("command,option", [
+    *((command, "--out") for command in sorted(OUTPUT_COMMANDS)),
+    ("verify", "--csv"),
+])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, command, option):
+    argv = list(OUTPUT_COMMANDS[command])
+    if command in RECORD_COMMANDS:
+        infile = tmp_path / "in.json"
+        infile.write_text("[]")
+        argv += ["--in", str(infile)]
+    target = tmp_path / "missing-dir" / "x.json"
+    code = main(argv + [option, str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot write {target}")
+    assert captured.out == ""

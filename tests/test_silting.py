@@ -2,6 +2,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exseq import (
     MutationSign, collection, config_to_silting, enumerate_kind,
@@ -10,7 +11,7 @@ from exseq import (
 )
 from exseq.sequences import is_exceptional
 from exseq.silting import (
-    collection_from_list, collection_to_list, explain_not_config,
+    _cliques_of_size, collection_from_list, collection_to_list, explain_not_config,
     explain_not_silting, order_config, order_silting,
 )
 
@@ -267,3 +268,22 @@ def test_collection_validation(a2, a3):
         collection([])
     with pytest.raises(ValueError):
         collection([simple(a2, 1), simple(a3, 1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cliques_match_brute_force(data):
+    count = data.draw(st.integers(0, 14))
+    k = data.draw(st.integers(1, 5))
+    density = data.draw(st.integers(0, 10))
+    pairs = list(itertools.combinations(range(count), 2))
+    draws = data.draw(st.lists(st.integers(0, 9), min_size=len(pairs),
+                               max_size=len(pairs)))
+    edges = {p for p, r in zip(pairs, draws) if r < density}
+    neighbours = [0] * count
+    for i, j in edges:
+        neighbours[i] |= 1 << j
+        neighbours[j] |= 1 << i
+    expected = [c for c in itertools.combinations(range(count), k)
+                if all(p in edges for p in itertools.combinations(c, 2))]
+    assert _cliques_of_size(count, neighbours, k) == expected
