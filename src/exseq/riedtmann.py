@@ -3,8 +3,8 @@
 A combinatorial configuration is a Hom-orthogonal family of indecomposables
 that meets every object by a nonzero morphism; periodic means stable under
 the autoequivalence F = [-2]tau^{-1}.  Periodicity makes every check finite:
-degree reach of stalk Homs bounds the translate exponents that can interact
-with a probe window.
+F moves the degree down by 1 or 2 and stalk Homs reach one degree, so only
+the orbit members near a seed or a probe window can interact.
 
 The torsion class of a collection M is A(M) = {X : Ext^i(M, X) = 0, i >= 1},
 here always intersected with an explicit degree window.
@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .derived import (
-    DObj, WindowSpec, f_power, hom_dim, is_projective, nonzero_exts, window_objects,
+    DObj, WindowSpec, f_translate, f_translate_inv, hom_dim, is_projective,
+    nonzero_exts, window_objects,
 )
 from .sequences import ExcSeq, MutationError, MutationSign, mutate
 from .silting import DCollection, collection, is_hom_leq0_config, is_m_config
@@ -27,22 +28,33 @@ class PeriodicConfig:
     seeds: DCollection
 
 
-def _degree_span(objs) -> int:
-    degrees = [x.degree for x in objs]
-    return max(degrees) - min(degrees)
+def _orbit(x: DObj, lo: int, hi: int) -> list[DObj]:
+    """The members of the F-orbit of x with degree in [lo, hi].
 
-
-def _same_f_orbit(a: DObj, b: DObj, reach: int) -> bool:
-    return any(f_power(a, k) == b for k in range(-reach, reach + 1))
+    F lowers the degree by 1 (tau^{-1} sends I_v[d] to P_v[d + 1]) or by 2,
+    so walking F down and F^{-1} up from x can stop at the first member
+    past the range.
+    """
+    out = []
+    y = x
+    while y.degree >= lo:
+        if y.degree <= hi:
+            out.append(y)
+        y = f_translate(y)
+    y = f_translate_inv(x)
+    while y.degree <= hi:
+        if y.degree >= lo:
+            out.append(y)
+        y = f_translate_inv(y)
+    return out
 
 
 def make_periodic(seeds: DCollection) -> PeriodicConfig:
     """Wrap seeds, rejecting two seeds in one F-orbit."""
     objs = seeds.sorted()
-    reach = _degree_span(objs) + 2
     for i, a in enumerate(objs):
         for b in objs[i + 1:]:
-            if _same_f_orbit(a, b, reach):
+            if b in _orbit(a, b.degree, b.degree):
                 raise ValueError(f"seeds {a!r} and {b!r} lie in one F-orbit")
     return PeriodicConfig(seeds)
 
@@ -50,27 +62,31 @@ def make_periodic(seeds: DCollection) -> PeriodicConfig:
 def is_combinatorial_configuration(p: PeriodicConfig, probe_window: WindowSpec) -> bool:
     """Exact check of the two configuration axioms on the F-orbit family:
     orthogonality between distinct orbit members, and covering of every
-    indecomposable in the probe window by a nonzero morphism."""
+    indecomposable in the probe window by a nonzero morphism.
+
+    Hom between stalks is nonzero only at degree gap 0 or 1, so only the
+    orbit members within one degree of a seed, or of a window object, are
+    walked.
+    """
     seeds = p.seeds.sorted()
     if not seeds:
         raise ValueError("empty seed set")
     rs = p.seeds.rs
-    span = _degree_span(seeds)
+    lo, hi = seeds[0].degree, seeds[-1].degree
+    for b in seeds:
+        for y in _orbit(b, lo, hi + 1):
+            if any(hom_dim(a, y) for a in seeds if not (a == b == y)):
+                return False
+    w = probe_window
+    # window_objects also lists degree w.lo - 1 (plus_injectives), and a
+    # member reaches z from degree z.degree or z.degree - 1.
+    by_degree: dict[int, list[DObj]] = {}
     for a in seeds:
-        for b in seeds:
-            for k in range(-(span + 2), span + 3):
-                if a == b and k == 0:
-                    continue
-                if hom_dim(a, f_power(b, k)) != 0:
-                    return False
-    for z in window_objects(rs, probe_window):
-        gap = max(abs(a.degree - z.degree) for a in seeds) + 2
-        covered = any(
-            hom_dim(f_power(a, k), z) != 0
-            for a in seeds
-            for k in range(-gap, gap + 1)
-        )
-        if not covered:
+        for y in _orbit(a, w.lo - 2, w.hi):
+            by_degree.setdefault(y.degree, []).append(y)
+    for z in window_objects(rs, w):
+        near = by_degree.get(z.degree, []) + by_degree.get(z.degree - 1, [])
+        if not any(hom_dim(y, z) for y in near):
             return False
     return True
 
@@ -83,7 +99,7 @@ def config_to_riedtmann(col: DCollection) -> PeriodicConfig:
     summands) to the periodic configuration its F-orbit generates."""
     if not is_m_config(col, 1):
         raise ValueError("input is not a 1-configuration")
-    offenders = [x for x in col.summands if x.degree == 0 and is_projective(x)]
+    offenders = [x for x in col.objects if x.degree == 0 and is_projective(x)]
     if offenders:
         raise ValueError(
             f"summand {offenders[0]!r} is a degree-0 projective; the minus "
@@ -103,14 +119,9 @@ def riedtmann_to_config(p: PeriodicConfig) -> DCollection:
     if not is_combinatorial_configuration(p, _RIEDTMANN_PROBE):
         raise ValueError("not a combinatorial configuration")
     window = WindowSpec(0, 1, minus_projectives=True)
-    members = set()
-    for seed in p.seeds.sorted():
-        reach = abs(seed.degree) + 3
-        for k in range(-reach, reach + 1):
-            x = f_power(seed, k)
-            if window.contains(x):
-                members.add(x)
-    result = collection(members)
+    result = collection(x for seed in p.seeds.sorted()
+                        for x in _orbit(seed, window.lo, window.hi)
+                        if window.contains(x))
     if not is_hom_leq0_config(result):
         raise MutationError(
             "minus-window part of a periodic configuration must be a configuration"

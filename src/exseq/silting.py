@@ -25,30 +25,36 @@ from .sequences import (
 
 @dataclass(frozen=True)
 class DCollection:
-    """A basic object: a nonempty set of distinct indecomposables."""
+    """A basic object: a nonempty set of distinct indecomposables over one
+    root system, held in (degree, root) order so that equal sets are equal
+    tuples.  Build it with collection(), which puts it in that form."""
 
-    summands: frozenset[DObj]
+    objects: tuple[DObj, ...]
+
+    @property
+    def summands(self) -> frozenset[DObj]:
+        return frozenset(self.objects)
 
     @property
     def rs(self) -> RootSystemData:
-        return next(iter(self.summands)).rs
+        return self.objects[0].rs
 
     def sorted(self) -> tuple[DObj, ...]:
-        return tuple(sorted(self.summands, key=lambda x: (x.degree, x.root)))
+        return self.objects
 
     def __repr__(self):
-        inner = ", ".join(repr(x) for x in self.sorted())
+        inner = ", ".join(repr(x) for x in self.objects)
         return f"DCollection({{{inner}}})"
 
 
 def collection(objs: Iterable[DObj]) -> DCollection:
-    items = frozenset(objs)
+    """The collection of the distinct objects in objs."""
+    items = sorted(set(objs), key=lambda x: (x.degree, x.root))
     if not items:
         raise ValueError("a collection needs at least one summand")
-    systems = {x.rs for x in items}
-    if len(systems) > 1:
+    if any(x.rs is not items[0].rs for x in items):
         raise ValueError("summands over different root systems")
-    return DCollection(items)
+    return DCollection(tuple(items))
 
 
 def collection_to_list(col: DCollection) -> list[dict]:
@@ -96,8 +102,8 @@ def _explain_not_partial_silting(objs: tuple[DObj, ...]) -> str | None:
 
 def explain_not_silting(col: DCollection) -> str | None:
     """A human-readable reason col is not silting, or None when it is."""
-    if len(col.summands) != col.rs.n:
-        return f"silting needs {col.rs.n} summands, found {len(col.summands)}"
+    if len(col.objects) != col.rs.n:
+        return f"silting needs {col.rs.n} summands, found {len(col.objects)}"
     return _explain_not_partial_silting(col.sorted())
 
 
@@ -148,7 +154,7 @@ def is_m_cluster_tilting(col: DCollection, m: int) -> bool:
     if m < 1:
         raise ValueError("m must be at least 1")
     w = cluster_tilting_window(m)
-    return all(w.contains(x) for x in col.summands) and is_silting(col)
+    return all(w.contains(x) for x in col.objects) and is_silting(col)
 
 
 def digraph_has_cycle(succ: list[list[int]]) -> bool:
@@ -195,7 +201,7 @@ def is_hom_leq0_config(col: DCollection) -> bool:
 def is_m_config(col: DCollection, m: int) -> bool:
     if m < 0:
         raise ValueError("m must be non-negative")
-    return (all(0 <= x.degree <= m for x in col.summands)
+    return (all(0 <= x.degree <= m for x in col.objects)
             and is_hom_leq0_config(col))
 
 
@@ -225,7 +231,8 @@ def _cliques_of_size(count: int, neighbours: list[int], k: int) -> list[tuple[in
 
 def _enumerate(rs: RootSystemData, w: WindowSpec, compatible) -> list[tuple[DObj, ...]]:
     """The n-cliques of the compatibility graph on the window, each sorted by
-    (degree, root), in lexicographic order."""
+    (degree, root), in lexicographic order: distinct and already in the
+    canonical form a DCollection holds."""
     objs = window_objects(rs, w)
     if any(not compatible(x, x) for x in objs):
         objs = [x for x in objs if compatible(x, x)]
@@ -244,7 +251,7 @@ def _enumerate(rs: RootSystemData, w: WindowSpec, compatible) -> list[tuple[DObj
 
 
 def enumerate_silting(rs: RootSystemData, w: WindowSpec) -> list[DCollection]:
-    return [collection(c) for c in _enumerate(rs, w, _silting_compatible)]
+    return [DCollection(c) for c in _enumerate(rs, w, _silting_compatible)]
 
 
 def enumerate_configs(rs: RootSystemData, w: WindowSpec) -> list[DCollection]:
@@ -259,7 +266,7 @@ def enumerate_configs(rs: RootSystemData, w: WindowSpec) -> list[DCollection]:
     back in the AR order: there is none.  explain_not_config keeps H4, as
     the definition does.
     """
-    return [collection(c) for c in _enumerate(rs, w, _config_compatible)]
+    return [DCollection(c) for c in _enumerate(rs, w, _config_compatible)]
 
 
 ENUMERATION_KINDS = (
@@ -321,7 +328,7 @@ def order_silting(col: DCollection) -> ExcSeq:
     """Order a silting object into an exceptional sequence: ascending degree,
     within one degree so that nonzero Homs point forward."""
     by_degree: dict[int, list[DObj]] = {}
-    for x in col.summands:
+    for x in col.objects:
         by_degree.setdefault(x.degree, []).append(x)
     seq: list[DObj] = []
     for d in sorted(by_degree):
@@ -336,7 +343,7 @@ def order_config(col: DCollection) -> ExcSeq:
     """Order a configuration into an exceptional sequence: descending degree,
     within one degree so that Ext^1 arrows point forward."""
     by_degree: dict[int, list[DObj]] = {}
-    for x in col.summands:
+    for x in col.objects:
         by_degree.setdefault(x.degree, []).append(x)
     seq: list[DObj] = []
     for d in sorted(by_degree, reverse=True):

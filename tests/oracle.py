@@ -5,16 +5,21 @@ Ext^1 are computed from explicit matrix representations (type A interval
 modules) by exact linear algebra over the rationals, reflection length by
 breadth-first search in the Cayley graph, and Fac-torsion membership by
 checking that the joint image of all homomorphisms covers the target.
-It also lists every admissible numbering of a Dynkin diagram, the input of
-the orientation sweeps.
+The periodic-configuration checks are the bounded loops over F-powers
+f_power(x, k), |k| up to a degree reach, against which the library's
+orbit walk is compared.  It also lists every admissible numbering of a
+Dynkin diagram, the input of the orientation sweeps.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
 
-from exseq.derived import DObj
+from exseq.derived import DObj, WindowSpec, f_power, hom_dim, window_objects
+from exseq.riedtmann import PeriodicConfig
 from exseq.roots import QuiverDescriptor, QuiverError, RootSystemData
+from exseq.sequences import MutationError
+from exseq.silting import DCollection, collection, is_hom_leq0_config
 from exseq.weyl import WeylGroup, mat_mul
 
 
@@ -183,6 +188,68 @@ def cayley_abs_lengths(group: WeylGroup) -> dict:
                     nxt.append(new)
         frontier = nxt
     return dist
+
+
+# ---------------------------------------------------------------------------
+# Periodic configurations by bounded F-powers.
+# ---------------------------------------------------------------------------
+
+def _degree_span(objs) -> int:
+    degrees = [x.degree for x in objs]
+    return max(degrees) - min(degrees)
+
+
+def same_f_orbit(a: DObj, b: DObj, reach: int) -> bool:
+    return any(f_power(a, k) == b for k in range(-reach, reach + 1))
+
+
+def make_periodic(seeds: DCollection) -> PeriodicConfig:
+    objs = seeds.sorted()
+    reach = _degree_span(objs) + 2
+    for i, a in enumerate(objs):
+        for b in objs[i + 1:]:
+            if same_f_orbit(a, b, reach):
+                raise ValueError(f"seeds {a!r} and {b!r} lie in one F-orbit")
+    return PeriodicConfig(seeds)
+
+
+def is_combinatorial_configuration(p: PeriodicConfig, probe_window: WindowSpec) -> bool:
+    seeds = p.seeds.sorted()
+    if not seeds:
+        raise ValueError("empty seed set")
+    span = _degree_span(seeds)
+    for a in seeds:
+        for b in seeds:
+            for k in range(-(span + 2), span + 3):
+                if a == b and k == 0:
+                    continue
+                if hom_dim(a, f_power(b, k)) != 0:
+                    return False
+    for z in window_objects(p.seeds.rs, probe_window):
+        gap = max(abs(a.degree - z.degree) for a in seeds) + 2
+        if not any(hom_dim(f_power(a, k), z) != 0
+                   for a in seeds for k in range(-gap, gap + 1)):
+            return False
+    return True
+
+
+def riedtmann_to_config(p: PeriodicConfig) -> DCollection:
+    if not is_combinatorial_configuration(p, WindowSpec(-1, 2)):
+        raise ValueError("not a combinatorial configuration")
+    window = WindowSpec(0, 1, minus_projectives=True)
+    members = set()
+    for seed in p.seeds.sorted():
+        reach = abs(seed.degree) + 3
+        for k in range(-reach, reach + 1):
+            x = f_power(seed, k)
+            if window.contains(x):
+                members.add(x)
+    result = collection(members)
+    if not is_hom_leq0_config(result):
+        raise MutationError(
+            "minus-window part of a periodic configuration must be a configuration"
+        )
+    return result
 
 
 # ---------------------------------------------------------------------------

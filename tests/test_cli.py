@@ -150,6 +150,15 @@ def test_riedtmann_verify(capsys):
     assert payload["passed"] is True
 
 
+def test_riedtmann_verify_e6(capsys):
+    code, payload = run(capsys, "riedtmann", "--type", "E6", "--verify")
+    assert code == 0
+    assert payload["counts"]["minus-window-1-configs"] == 418
+    assert [c["name"] for c in payload["checks"] if c["passed"]] == [
+        "riedtmann round trip", "count equals positive Fuss-Catalan"]
+    assert payload["passed"] is True
+
+
 RECORD_COMMANDS = {
     "biject": ["biject", "--type", "A2", "--direction", "silting-to-config"],
     "torsion": ["torsion", "--type", "A2", "--window", "-1:2"],

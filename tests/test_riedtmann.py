@@ -1,16 +1,21 @@
 """Periodic combinatorial configurations and window torsion classes."""
-import pytest
+from functools import cache
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle
 from exseq import (
-    DObj, MutationSign, WindowSpec, check_negative_mutation_invariance,
-    collection, config_to_riedtmann, enumerate_kind, ext_projectives,
-    f_translate, fuss_catalan, is_combinatorial_configuration, make_periodic,
-    mutate, proj, riedtmann_to_config, shift, simple, torsion_window,
+    DObj, MutationSign, PeriodicConfig, WindowSpec, build_root_system,
+    check_negative_mutation_invariance, collection, config_to_riedtmann,
+    enumerate_kind, ext_projectives, f_translate, fuss_catalan,
+    is_combinatorial_configuration, make_periodic, mutate, proj,
+    riedtmann_to_config, shift, simple, torsion_window,
 )
 from exseq.sequences import mu_rev_steps
 from exseq.silting import order_silting
 
-from oracle import enumerate_tilting_oracle, fac_indecomposables
+from oracle import admissible_quivers, enumerate_tilting_oracle, fac_indecomposables
 
 PROBE = WindowSpec(-1, 2)
 
@@ -164,3 +169,57 @@ def test_ext_projectives_recover_silting(a2, a3):
 def test_ext_projectives_margin_guard(a2):
     with pytest.raises(ValueError):
         ext_projectives(frozenset(), WindowSpec(0, 1), margin=2)
+
+
+# ---------------------------------------------------------------------------
+# The orbit walk against the bounded F-power loops of the oracle.
+# ---------------------------------------------------------------------------
+
+ORACLE_WINDOWS = (
+    WindowSpec(-1, 2), WindowSpec(-2, 3), WindowSpec(0, 0),
+    WindowSpec(-1, 2, plus_injectives=True),
+    WindowSpec(0, 1, minus_projectives=True),
+)
+ORACLE_QUIVERS = [q for family, rank in (("A", 3), ("A", 4), ("D", 4))
+                  for q in admissible_quivers(family, rank)]
+
+
+@cache
+def _oracle_systems():
+    return [build_root_system(q) for q in ORACLE_QUIVERS]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_oracle(seeds):
+    assert _outcome(make_periodic, seeds) == _outcome(oracle.make_periodic, seeds)
+    p = PeriodicConfig(seeds)
+    for w in ORACLE_WINDOWS:
+        assert is_combinatorial_configuration(p, w) == \
+            oracle.is_combinatorial_configuration(p, w), (seeds, w)
+    assert _outcome(riedtmann_to_config, p) == \
+        _outcome(oracle.riedtmann_to_config, p), seeds
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_QUIVERS)),
+                         ids=[f"{q.family}{q.rank}-{i}" for i, q in enumerate(ORACLE_QUIVERS)])
+def test_periodic_checks_match_oracle_on_enumerations(index):
+    rs = _oracle_systems()[index]
+    inputs = (enumerate_kind(rs, "m-config-minus", 1)
+              + enumerate_kind(rs, "m-cluster-tilting", 1))
+    for seeds in inputs:
+        _assert_matches_oracle(seeds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_periodic_checks_match_oracle_on_seed_sets(data):
+    rs = data.draw(st.sampled_from(_oracle_systems()))
+    cells = st.tuples(st.integers(0, len(rs.positive_roots) - 1), st.integers(-3, 3))
+    picked = data.draw(st.lists(cells, min_size=1, max_size=rs.n, unique=True))
+    _assert_matches_oracle(collection(DObj(rs, r, d) for r, d in picked))

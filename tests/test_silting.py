@@ -270,6 +270,29 @@ def test_collection_validation(a2, a3):
         collection([simple(a2, 1), simple(a3, 1)])
 
 
+def test_collection_dedupes(a2):
+    s1, p1 = simple(a2, 1), proj(a2, 1)
+    col = collection([p1, s1, p1, s1, s1])
+    assert col.sorted() == (s1, p1)
+    assert col == collection([s1, p1])
+    assert col.summands == frozenset({s1, p1})
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4)])
+def test_enumerated_collections_are_canonical(family, rank):
+    from exseq import QuiverDescriptor, WindowSpec, build_root_system
+    from exseq.silting import ENUMERATION_KINDS
+    rs = build_root_system(QuiverDescriptor.standard(family, rank))
+    for m in (1, 2):
+        for kind in ENUMERATION_KINDS:
+            for c in enumerate_kind(rs, kind, m, window=WindowSpec(0, m)):
+                rebuilt = collection(reversed(c.sorted()))
+                assert (rebuilt, hash(rebuilt), repr(rebuilt)) == \
+                    (c, hash(c), repr(c)), (kind, m)
+                assert isinstance(c.summands, frozenset)
+                assert c.summands == frozenset(c.sorted())
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_cliques_match_brute_force(data):
