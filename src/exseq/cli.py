@@ -13,7 +13,9 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from math import factorial
+from typing import Iterable, Iterator
 
 from .derived import DObj, WindowSpec, nu_inv, obj_to_dict
 from .riedtmann import config_to_riedtmann, riedtmann_to_config, torsion_window
@@ -23,9 +25,9 @@ from .sequences import (
     mu_rev_steps, mutate,
 )
 from .silting import (
-    ENUMERATION_KINDS, DCollection, collection_from_list, collection_to_list,
-    config_to_silting, enumerate_kind, explain_not_config, explain_not_silting,
-    order_config, order_silting, silting_to_config,
+    M_WINDOW_KINDS, collection_from_list, collection_to_list, config_to_silting,
+    enumerate_kind, enumerate_kind_indexed, explain_not_config,
+    explain_not_silting, order_config, order_silting, silting_to_config,
 )
 from .weyl import enumerate_m_nc, generate_weyl, nc_from_dict, nc_to_dict, phi, phi_inverse
 
@@ -120,12 +122,32 @@ class OutputError(Exception):
     """An output file could not be written."""
 
 
-def _write(path: str, text: str, newline: str | None = None) -> None:
+def _through_file(path: str, chunks: Iterable[str],
+                  newline: str | None = None) -> Iterator[str]:
+    """Yield each text chunk after writing it to path.  The file is opened
+    at the first request, before the caller sees any chunk."""
     try:
         with open(path, "w", newline=newline) as handle:
-            handle.write(text)
+            for chunk in chunks:
+                handle.write(chunk)
+                yield chunk
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write(path: str, text: str, newline: str | None = None) -> None:
+    for _ in _through_file(path, (text,), newline):
+        pass
+
+
+def _stream(args, chunks: Iterable[str]) -> None:
+    """Write text chunks, each as it comes, to --out, if given, and to
+    stdout.  An --out path that cannot be opened leaves stdout empty; one
+    that fails later leaves a partial document there."""
+    if args.out:
+        chunks = _through_file(args.out, chunks)
+    for chunk in chunks:
+        sys.stdout.write(chunk)
 
 
 def _dumps(payload: dict) -> str:
@@ -134,29 +156,24 @@ def _dumps(payload: dict) -> str:
 
 def _emit(args, text: str) -> None:
     """Write a JSON text to --out, if given, and to stdout."""
-    if args.out:
-        _write(args.out, text + "\n")
-    print(text)
+    _stream(args, (text, "\n"))
 
 
-def _collections_json(found: list[DCollection]) -> str:
-    """The indent-2 JSON of [collection_to_list(c) for c in found] as the
-    value of a top-level key.  Each distinct summand is encoded once: an
-    indent-2 encoding at depth L is the depth-0 encoding with every newline
-    followed by 2L more spaces, as JSON strings hold no raw newline."""
-    if not found:
-        return "[]"
-    memo: dict[DObj, str] = {}
-
-    def summand(x: DObj) -> str:
-        text = memo.get(x)
-        if text is None:
-            text = memo[x] = _dumps(obj_to_dict(x)).replace("\n", "\n      ")
-        return text
-
-    rows = ("[\n      " + ",\n      ".join(map(summand, c.sorted())) + "\n    ]"
-            for c in found)
-    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+def _objects_chunks(objs: list[DObj], cliques: list[tuple[int, ...]]) -> Iterator[str]:
+    """The indent-2 JSON of the collections as the value of a top-level key,
+    one chunk per collection; each clique lists indices into objs.  Each
+    object is encoded once: an indent-2 encoding at depth L is the depth-0
+    encoding with every newline followed by 2L more spaces, as JSON strings
+    hold no raw newline."""
+    if not cliques:
+        yield "[]"
+        return
+    texts = [_dumps(obj_to_dict(x)).replace("\n", "\n      ") for x in objs]
+    sep = "[\n    [\n      "
+    for idxs in cliques:
+        yield sep + ",\n      ".join(map(texts.__getitem__, idxs)) + "\n    ]"
+        sep = ",\n    [\n      "
+    yield "\n  ]"
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +184,19 @@ def cmd_enumerate(args) -> int:
     start = time.perf_counter()
     try:
         rs = _build(args)
-        found = enumerate_kind(rs, args.kind, args.m)
+        objs, cliques = enumerate_kind_indexed(rs, args.kind, args.m)
     except (QuiverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = RunReport("enumerate", f"{rs.family}{rs.n}", args.m)
-    report.counts[args.kind] = len(found)
+    report.counts[args.kind] = len(cliques)
     report.elapsed = time.perf_counter() - start
-    # The objects are spliced into the encoding of the rest of the report,
-    # at the place sort_keys gives their key; no other key holds "objects".
-    head = _dumps({**report.to_dict(), "objects": None})
-    _emit(args, head.replace('"objects": null',
-                             '"objects": ' + _collections_json(found), 1))
+    # The collections go out between the encodings of the keys before and
+    # after "objects" in sort_keys order; no other key holds "objects".
+    head, _, tail = _dumps({**report.to_dict(), "objects": None}).partition(
+        '"objects": null')
+    _stream(args, chain((head + '"objects": ',),
+                        _objects_chunks(objs, cliques), (tail, "\n")))
     return 0
 
 
@@ -243,6 +261,9 @@ def cmd_biject(args) -> int:
                 entry["output"] = collection_to_list(config_to_silting(col))
             elif args.direction == "nc-to-config":
                 parts = nc_from_dict(group, record)
+                if len(parts) != args.m + 1:
+                    raise ValueError(f"an m-noncrossing partition for m = {args.m} "
+                                     f"has {args.m + 1} parts, found {len(parts)}")
                 entry["output"] = collection_to_list(phi(group, parts))
             else:  # config-to-nc; argparse admits no other direction
                 col = collection_from_list(rs, record)
@@ -436,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate collections of one kind")
     _add_common(p)
-    p.add_argument("--kind", choices=ENUMERATION_KINDS, required=True)
+    p.add_argument("--kind", choices=M_WINDOW_KINDS, required=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("nc", help="enumerate m-noncrossing partitions")

@@ -229,10 +229,11 @@ def _cliques_of_size(count: int, neighbours: list[int], k: int) -> list[tuple[in
     return out
 
 
-def _enumerate(rs: RootSystemData, w: WindowSpec, compatible) -> list[tuple[DObj, ...]]:
-    """The n-cliques of the compatibility graph on the window, each sorted by
-    (degree, root), in lexicographic order: distinct and already in the
-    canonical form a DCollection holds."""
+def _enumerate(rs: RootSystemData, w: WindowSpec,
+               compatible) -> tuple[list[DObj], list[tuple[int, ...]]]:
+    """The window's objects compatible with themselves, in (degree, root)
+    order, and the n-cliques of the compatibility graph on them as ascending
+    index tuples into that list, in lexicographic order."""
     objs = window_objects(rs, w)
     if any(not compatible(x, x) for x in objs):
         objs = [x for x in objs if compatible(x, x)]
@@ -243,15 +244,18 @@ def _enumerate(rs: RootSystemData, w: WindowSpec, compatible) -> list[tuple[DObj
             if compatible(a, objs[j]):
                 neighbours[i] |= 1 << j
                 neighbours[j] |= 1 << i
-    # window_objects lists objects in (degree, root) order and the cliques
-    # come out with indices ascending in lexicographic order, so the result
-    # is already in canonical order.
-    return [tuple(objs[i] for i in idxs)
-            for idxs in _cliques_of_size(len(objs), neighbours, rs.n)]
+    return objs, _cliques_of_size(len(objs), neighbours, rs.n)
+
+
+def _collections(objs: list[DObj], cliques: list[tuple[int, ...]]) -> list[DCollection]:
+    """The cliques as collections.  Ascending indices into a list in
+    (degree, root) order pick distinct objects already in the canonical
+    order a DCollection holds, and the cliques come in lexicographic order."""
+    return [DCollection(tuple(map(objs.__getitem__, idxs))) for idxs in cliques]
 
 
 def enumerate_silting(rs: RootSystemData, w: WindowSpec) -> list[DCollection]:
-    return [DCollection(c) for c in _enumerate(rs, w, _silting_compatible)]
+    return _collections(*_enumerate(rs, w, _silting_compatible))
 
 
 def enumerate_configs(rs: RootSystemData, w: WindowSpec) -> list[DCollection]:
@@ -266,36 +270,42 @@ def enumerate_configs(rs: RootSystemData, w: WindowSpec) -> list[DCollection]:
     back in the AR order: there is none.  explain_not_config keeps H4, as
     the definition does.
     """
-    return [DCollection(c) for c in _enumerate(rs, w, _config_compatible)]
+    return _collections(*_enumerate(rs, w, _config_compatible))
 
 
-ENUMERATION_KINDS = (
-    "m-cluster-tilting",
-    "m-config",
-    "m-config-minus",
-    "silting-deg1-window",
-    "silting-in-window",
-)
+# The kinds whose window m alone fixes, with that window and the pairwise
+# compatibility their cliques satisfy.
+_M_KINDS = {
+    "m-cluster-tilting": (cluster_tilting_window, _silting_compatible),
+    "m-config": (config_window, _config_compatible),
+    "m-config-minus": (config_minus_window, _config_compatible),
+    "silting-deg1-window": (shifted_silting_window, _silting_compatible),
+}
+M_WINDOW_KINDS = tuple(_M_KINDS)
+ENUMERATION_KINDS = (*M_WINDOW_KINDS, "silting-in-window")
+
+
+def enumerate_kind_indexed(rs: RootSystemData, kind: str, m: int,
+                           window: WindowSpec | None = None
+                           ) -> tuple[list[DObj], list[tuple[int, ...]]]:
+    """enumerate_kind before the wrapping: the window's objects and the
+    collections as ascending index tuples into them."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if kind == "silting-in-window":
+        if window is None:
+            raise ValueError("silting-in-window needs an explicit window")
+        return _enumerate(rs, window, _silting_compatible)
+    if kind not in _M_KINDS:
+        raise ValueError(f"unknown enumeration kind {kind!r}")
+    make_window, compatible = _M_KINDS[kind]
+    return _enumerate(rs, make_window(m), compatible)
 
 
 def enumerate_kind(rs: RootSystemData, kind: str, m: int,
                    window: WindowSpec | None = None) -> list[DCollection]:
     """Dispatch enumeration by kind name; m must be at least 1."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if kind == "m-cluster-tilting":
-        return enumerate_silting(rs, cluster_tilting_window(m))
-    if kind == "m-config":
-        return enumerate_configs(rs, config_window(m))
-    if kind == "m-config-minus":
-        return enumerate_configs(rs, config_minus_window(m))
-    if kind == "silting-deg1-window":
-        return enumerate_silting(rs, shifted_silting_window(m))
-    if kind == "silting-in-window":
-        if window is None:
-            raise ValueError("silting-in-window needs an explicit window")
-        return enumerate_silting(rs, window)
-    raise ValueError(f"unknown enumeration kind {kind!r}")
+    return _collections(*enumerate_kind_indexed(rs, kind, m, window))
 
 
 # ---------------------------------------------------------------------------

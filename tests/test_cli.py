@@ -1,11 +1,14 @@
 """Command-line interface: reports, artifacts, exit codes."""
 import hashlib
+import io
 import json
+import os
+import sys
 
 import pytest
 
 from exseq import QuiverDescriptor, build_root_system, enumerate_kind
-from exseq.cli import _collections_json, main
+from exseq.cli import _objects_chunks, main
 from exseq.silting import collection_to_list
 
 
@@ -143,6 +146,20 @@ def test_biject_nc_to_config_round_trip(capsys, tmp_path):
         {"dim": [1, 0], "deg": 0}, {"dim": [0, 1], "deg": 0}]
 
 
+def test_biject_nc_to_config_rejects_wrong_m(capsys, tmp_path):
+    infile = tmp_path / "nc.json"
+    infile.write_text(json.dumps([
+        {"reflection_words": [[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]]},
+        {"reflection_words": [[], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]},
+    ]))
+    code, payload = run(capsys, "biject", "--type", "A3", "--m", "1",
+                        "--direction", "nc-to-config", "--in", str(infile))
+    assert code == 1
+    assert payload["failures"] == 1
+    assert "has 2 parts, found 3" in payload["records"][0]["error"]
+    assert "error" not in payload["records"][1]
+
+
 def test_riedtmann_verify(capsys):
     code, payload = run(capsys, "riedtmann", "--type", "A3", "--verify")
     assert code == 0
@@ -273,11 +290,15 @@ RAW_LAYOUT_CASES = [
     ("A3", 2, "m-cluster-tilting", None),
     ("D4", 2, "m-config-minus", None),
     ("E6", 1, "m-config", [[1, 2], [1, 3], [1, 4], [2, 5], [3, 6]]),
+    ("A4", 2, "silting-deg1-window", [[1, 3], [2, 3], [2, 4]]),
 ]
+STREAM_CASE = RAW_LAYOUT_CASES[2]     # about 0.7 MB of JSON
 
 
-@pytest.mark.parametrize("qtype,m,kind,arrows", RAW_LAYOUT_CASES)
-def test_enumerate_raw_layout(capsys, tmp_path, qtype, m, kind, arrows):
+def enumerate_case(qtype, m, kind, arrows):
+    """The argv of an enumerate case and the reference encoding of its
+    report, given the printed elapsed_seconds: the plain indent-2 encoder
+    over per-summand dicts."""
     argv = ["enumerate", "--type", qtype, "--m", str(m), "--kind", kind]
     family, rank = qtype[0], int(qtype[1:])
     if arrows is None:
@@ -285,30 +306,83 @@ def test_enumerate_raw_layout(capsys, tmp_path, qtype, m, kind, arrows):
     else:
         argv += ["--orientation", json.dumps(arrows)]
         quiver = QuiverDescriptor(family, rank, tuple(map(tuple, arrows)))
+
+    def reference(elapsed):
+        found = enumerate_kind(build_root_system(quiver), kind, m)
+        report = {
+            "checks": [], "command": "enumerate", "counts": {kind: len(found)},
+            "elapsed_seconds": elapsed, "m": m, "passed": True, "type": qtype,
+            "objects": [collection_to_list(c) for c in found],
+        }
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    return argv, reference
+
+
+def assert_same_text(name, text, expected):
+    # Report the first differing line: pytest's own diff of two texts this
+    # large takes minutes.
+    assert text == expected, next(
+        (f"{name} line {i}: {a!r} != {b!r}" for i, (a, b) in enumerate(
+            zip(text.splitlines(), expected.splitlines()), 1) if a != b),
+        f"{name} differs in length")
+
+
+@pytest.mark.parametrize("qtype,m,kind,arrows", RAW_LAYOUT_CASES)
+def test_enumerate_raw_layout(capsys, tmp_path, qtype, m, kind, arrows):
+    argv, reference = enumerate_case(qtype, m, kind, arrows)
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == 0
     stdout = capsys.readouterr().out
-    # The oracle: the plain indent-2 encoder over per-summand dicts.
-    found = enumerate_kind(build_root_system(quiver), kind, m)
-    reference = {
-        "checks": [], "command": "enumerate", "counts": {kind: len(found)},
-        "elapsed_seconds": json.loads(stdout)["elapsed_seconds"], "m": m,
-        "passed": True, "type": qtype,
-        "objects": [collection_to_list(c) for c in found],
-    }
-    expected = json.dumps(reference, indent=2, sort_keys=True) + "\n"
-    # Report the first differing line: pytest's own diff of two texts this
-    # large takes minutes.
-    for name, text in (("stdout", stdout), ("--out", out.read_text())):
-        same = text == expected
-        assert same, next(
-            (f"{name} line {i}: {a!r} != {b!r}" for i, (a, b) in enumerate(
-                zip(text.splitlines(), expected.splitlines()), 1) if a != b),
-            f"{name} differs in length")
+    expected = reference(json.loads(stdout)["elapsed_seconds"])
+    assert_same_text("stdout", stdout, expected)
+    assert_same_text("--out", out.read_text(), expected)
+
+
+class ChunkRecorder(io.StringIO):
+    """A text stream that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(len(text))
+        return super().write(text)
+
+
+def test_enumerate_streams_its_output(monkeypatch):
+    argv, reference = enumerate_case(*STREAM_CASE)
+    recorder = ChunkRecorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    assert main(argv) == 0
+    stdout = recorder.getvalue()
+    assert_same_text("stdout", stdout,
+                     reference(json.loads(stdout)["elapsed_seconds"]))
+    assert len(stdout) > 10 * 2 ** 16
+    assert max(recorder.chunks) <= 2 ** 16
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_enumerate_write_failure_mid_stream(capsys):
+    argv, _ = enumerate_case(*STREAM_CASE)
+    code = main(argv + ["--out", "/dev/full"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: cannot write /dev/full: ")
+    assert captured.out.startswith('{\n  "checks": []')
+
+
+def test_enumerate_offers_only_runnable_kinds(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["enumerate", "--type", "A2", "--m", "1",
+              "--kind", "silting-in-window"])
+    assert err.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_empty_collection_list_encodes_as_empty_array():
-    assert _collections_json([]) == json.dumps([], indent=2)
+    assert "".join(_objects_chunks([], [])) == json.dumps([], indent=2)
 
 
 OUTPUT_COMMANDS = {
