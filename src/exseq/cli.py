@@ -9,12 +9,14 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 import time
 from dataclasses import dataclass, field
 from itertools import chain
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .derived import DObj, WindowSpec, nu_inv, obj_to_dict
@@ -143,11 +145,19 @@ def _write(path: str, text: str, newline: str | None = None) -> None:
 def _stream(args, chunks: Iterable[str]) -> None:
     """Write text chunks, each as it comes, to --out, if given, and to
     stdout.  An --out path that cannot be opened leaves stdout empty; one
-    that fails later leaves a partial document there."""
+    that fails later leaves a partial document there.  A closed stdout is
+    an OutputError too."""
     if args.out:
         chunks = _through_file(args.out, chunks)
-    for chunk in chunks:
-        sys.stdout.write(chunk)
+    try:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # The reader has gone.  Send what stdout still buffers to the null
+        # device, so that the interpreter's final flush fails no more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise OutputError(f"cannot write stdout: {exc.strerror}") from None
 
 
 def _dumps(payload: dict) -> str:
@@ -159,20 +169,28 @@ def _emit(args, text: str) -> None:
     _stream(args, (text, "\n"))
 
 
+_BATCH = 32    # collections per chunk of _objects_chunks
+
+
 def _objects_chunks(objs: list[DObj], cliques: list[tuple[int, ...]]) -> Iterator[str]:
     """The indent-2 JSON of the collections as the value of a top-level key,
-    one chunk per collection; each clique lists indices into objs.  Each
-    object is encoded once: an indent-2 encoding at depth L is the depth-0
-    encoding with every newline followed by 2L more spaces, as JSON strings
-    hold no raw newline."""
+    one chunk per _BATCH collections; each clique lists indices into objs.
+    Each object is encoded once: an indent-2 encoding at depth L is the
+    depth-0 encoding with every newline followed by 2L more spaces, as JSON
+    strings hold no raw newline."""
     if not cliques:
         yield "[]"
         return
-    texts = [_dumps(obj_to_dict(x)).replace("\n", "\n      ") for x in objs]
-    sep = "[\n    [\n      "
-    for idxs in cliques:
-        yield sep + ",\n      ".join(map(texts.__getitem__, idxs)) + "\n    ]"
-        sep = ",\n    [\n      "
+    texts = ["\n      " + _dumps(obj_to_dict(x)).replace("\n", "\n      ")
+             for x in objs]
+    # itemgetter of one index returns that item, not a 1-tuple.
+    join = ",".join if len(cliques[0]) > 1 else str
+    sep = "["
+    for lo in range(0, len(cliques), _BATCH):
+        yield sep + ",".join([
+            "\n    [" + join(itemgetter(*idxs)(texts)) + "\n    ]"
+            for idxs in cliques[lo:lo + _BATCH]])
+        sep = ","
     yield "\n  ]"
 
 

@@ -3,8 +3,9 @@
 Every indecomposable of D^b(H) for a Dynkin path algebra H is a stalk
 complex M[d], so an object is encoded as (positive-root index, degree).
 Hom spaces are read from the exact table RootSystemData.hom_table, which the
-root system fills once by a Serre-duality recursion.  No linear algebra is
-involved; the matrix-representation oracle lives in the test suite only.
+root system fills once by a recurrence along the tau-orbits.  No linear
+algebra is involved; the matrix-representation oracle lives in the test
+suite only.
 
 Which Ext^i between two stalks is nonzero is decided here, by nonzero_exts;
 the silting, mutation, Weyl and torsion layers all ask it.

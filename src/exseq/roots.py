@@ -16,7 +16,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import prod
 
 DimVector = tuple[int, ...]
@@ -269,7 +268,8 @@ class RootSystemData:
     """Root-combinatorial data of a quiver.  Immutable after construction;
     instances may be shared freely across threads.
 
-    For the A, D, E families construction also fills `hom_table`: entry
+    For the A, D, E families construction also fills `hom_table`, by a
+    recurrence along the tau-orbits of the projectives: entry
     hom_table[gap][rx][ry] is dim Hom(M_rx[0], M_ry[gap]) for gap 0 and 1,
     the only degree gaps at which two stalk complexes can interact.
 
@@ -448,22 +448,44 @@ class RootSystemData:
         self.hom_table = self._hom_table()
 
     def _hom_table(self) -> tuple[IntMatrix, IntMatrix]:
-        """Both Hom arrays, by the Serre-duality recursion
+        """Both Hom arrays, by a recurrence along the tau-orbits.  Four facts
+        about a hereditary algebra of Dynkin type give every entry:
 
-            Hom(X, Y) = Hom(Y, tau(X)[1])         (X with non-projective module)
-            Hom(P_i[a], N[b]) = dim N at vertex i if a == b, else 0
+        - Hom(P_i, N) = (dim N)_i, and Hom(P_i, N[1]) = Ext^1(P_i, N) = 0.
+        - Hom(X, P) = 0 for X indecomposable non-projective and P projective:
+          the image of a nonzero map X -> P is a submodule of a projective,
+          so projective, and X would split off onto it.
+        - Hom(X, Y) = Hom(tau X, tau Y) for X, Y indecomposable
+          non-projective: tau is an equivalence from modules modulo maps
+          through projectives to modules modulo maps through injectives, and
+          no nonzero map X -> Y factors through a projective (previous fact),
+          nor tau X -> tau Y through an injective (its dual).
+        - Ext^1(X, Y) = D Hom(Y, tau X) for X non-projective (Auslander-
+          Reiten formula), and 0 for X projective.
 
-        which terminates because tau walks every module to a projective in at
-        most h steps."""
-        @cache
-        def hom(rx: int, ry: int, gap: int) -> int:
-            if rx in self._proj_vertex:
-                return self.positive_roots[ry][self._proj_vertex[rx]] if gap == 0 else 0
-            return hom(ry, self._tau_image[rx], 1 - gap)
-
-        roots = range(len(self.positive_roots))
-        return tuple(tuple(tuple(hom(rx, ry, gap) for ry in roots) for rx in roots)
-                     for gap in (0, 1))
+        Every indecomposable is tau^{-k} P_i for some i and k.  So the Hom
+        rows of the projectives come first, then those of each
+        tau^{-1}-layer in turn, each read off the row of its tau-image; the
+        Ext^1 rows are columns of the Hom array."""
+        count = len(self.positive_roots)
+        tau = self._tau_image
+        hom: list[tuple[int, ...] | None] = [None] * count
+        layer = list(self._proj_vertex)
+        for x in layer:
+            i = self._proj_vertex[x]
+            hom[x] = tuple(r[i] for r in self.positive_roots)
+        while layer:
+            layer = [y for y in map(self._tau_inv_image.__getitem__, layer)
+                     if y is not None]
+            for x in layer:
+                below = hom[tau[x]]
+                hom[x] = tuple(0 if t is None else below[t] for t in tau)
+        if None in hom:
+            raise QuiverError("some root lies in no tau-orbit of a projective")
+        columns = tuple(zip(*hom))
+        zero = (0,) * count
+        ext1 = tuple(zero if t is None else columns[t] for t in tau)
+        return tuple(hom), ext1
 
     # -- queries -------------------------------------------------------------
 

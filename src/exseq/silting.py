@@ -81,16 +81,6 @@ def _negative_ext(a: DObj, b: DObj) -> int | None:
     return next((i for i, _ in nonzero_exts(a, b) if i <= -1), None)
 
 
-def _silting_compatible(a: DObj, b: DObj) -> bool:
-    return all(i <= 0 for i, _ in nonzero_exts(a, b) + nonzero_exts(b, a))
-
-
-def _config_compatible(a: DObj, b: DObj) -> bool:
-    if a == b:
-        return _negative_ext(a, a) is None
-    return all(i >= 1 for i, _ in nonzero_exts(a, b) + nonzero_exts(b, a))
-
-
 def _explain_not_partial_silting(objs: tuple[DObj, ...]) -> str | None:
     for a in objs:
         for b in objs:
@@ -229,21 +219,69 @@ def _cliques_of_size(count: int, neighbours: list[int], k: int) -> list[tuple[in
     return out
 
 
-def _enumerate(rs: RootSystemData, w: WindowSpec,
-               compatible) -> tuple[list[DObj], list[tuple[int, ...]]]:
-    """The window's objects compatible with themselves, in (degree, root)
-    order, and the n-cliques of the compatibility graph on them as ascending
-    index tuples into that list, in lexicographic order."""
+# The Ext indices that each compatibility rule forbids between two distinct
+# summands: Ext^i for i >= 1 in a silting object, Ext^i for i <= 0 (so Hom
+# too) in a configuration.
+_FORBIDS = {"silting": lambda i: i >= 1, "config": lambda i: i <= 0}
+_NONZERO = bytes([48] + [49] * 255)    # byte 0 -> "0", any other -> "1"
+
+
+def _row_masks(rows) -> list[int]:
+    """Per row of a Hom array, the bitmask of the roots with a nonzero entry.
+    Entries fit a byte: no Hom in Dynkin type exceeds 6 in dimension."""
+    return [int(bytes(row).translate(_NONZERO)[::-1], 2) for row in rows]
+
+
+def _compatibility_graph(rs: RootSystemData, w: WindowSpec,
+                         rule: str) -> tuple[list[DObj], list[int]]:
+    """The window's objects in (degree, root) order and their neighbourhoods,
+    as bitmasks over that order, in the graph joining two objects when no
+    Ext index that rule forbids is nonzero between them in either direction.
+
+    For a = M_r[d] and b = M_s[e] with gap g = d - e, only four Ext spaces
+    can be nonzero: Ext^g(a, b) = h0[r][s], Ext^(g+1)(a, b) = h1[r][s],
+    Ext^(-g)(b, a) = h0[s][r] and Ext^(1-g)(b, a) = h1[s][r], with
+    (h0, h1) = rs.hom_table.  So the roots in degree e that a excludes are
+    the union of the rows, at r, of those of the four arrays whose index
+    the rule forbids.
+
+    Every object is compatible with itself, under either rule: stalks have
+    no Ext^i(x, x) for i < 0, and every indecomposable of a Dynkin quiver is
+    exceptional, so Ext^1(x, x) = 0 too.  So no object leaves the window.
+    """
     objs = window_objects(rs, w)
-    if any(not compatible(x, x) for x in objs):
-        objs = [x for x in objs if compatible(x, x)]
-    # Both compatibility relations are symmetric: test each pair once.
-    neighbours = [0] * len(objs)
-    for i, a in enumerate(objs):
-        for j in range(i + 1, len(objs)):
-            if compatible(a, objs[j]):
-                neighbours[i] |= 1 << j
-                neighbours[j] |= 1 << i
+    h0, h1 = rs.hom_table
+    arrays = [_row_masks(t) for t in (h0, h1, zip(*h0), zip(*h1))]
+    forbids = _FORBIDS[rule]
+    layout: dict[int, tuple[int, list[int]]] = {}   # degree -> offset, roots
+    for k, x in enumerate(objs):
+        layout.setdefault(x.degree, (k, []))[1].append(x.root)
+    full = (1 << len(rs.positive_roots)) - 1
+    neighbours = []
+    for k, a in enumerate(objs):
+        mask = 0
+        for degree, (offset, roots) in layout.items():
+            g = a.degree - degree
+            bad = 0
+            for rows, i in zip(arrays, (g, g + 1, -g, 1 - g)):
+                if forbids(i):
+                    bad |= rows[a.root]
+            if len(roots) == len(rs.positive_roots):
+                mask |= (full & ~bad) << offset
+            else:
+                for j, root in enumerate(roots):
+                    if not bad >> root & 1:
+                        mask |= 1 << (offset + j)
+        neighbours.append(mask & ~(1 << k))
+    return objs, neighbours
+
+
+def _enumerate(rs: RootSystemData, w: WindowSpec,
+               rule: str) -> tuple[list[DObj], list[tuple[int, ...]]]:
+    """The window's objects in (degree, root) order, and the n-cliques of
+    the rule's compatibility graph on them as ascending index tuples into
+    that list, in lexicographic order."""
+    objs, neighbours = _compatibility_graph(rs, w, rule)
     return objs, _cliques_of_size(len(objs), neighbours, rs.n)
 
 
@@ -255,7 +293,7 @@ def _collections(objs: list[DObj], cliques: list[tuple[int, ...]]) -> list[DColl
 
 
 def enumerate_silting(rs: RootSystemData, w: WindowSpec) -> list[DCollection]:
-    return _collections(*_enumerate(rs, w, _silting_compatible))
+    return _collections(*_enumerate(rs, w, "silting"))
 
 
 def enumerate_configs(rs: RootSystemData, w: WindowSpec) -> list[DCollection]:
@@ -270,16 +308,16 @@ def enumerate_configs(rs: RootSystemData, w: WindowSpec) -> list[DCollection]:
     back in the AR order: there is none.  explain_not_config keeps H4, as
     the definition does.
     """
-    return _collections(*_enumerate(rs, w, _config_compatible))
+    return _collections(*_enumerate(rs, w, "config"))
 
 
-# The kinds whose window m alone fixes, with that window and the pairwise
-# compatibility their cliques satisfy.
+# The kinds whose window m alone fixes, with that window and the
+# compatibility rule their cliques satisfy.
 _M_KINDS = {
-    "m-cluster-tilting": (cluster_tilting_window, _silting_compatible),
-    "m-config": (config_window, _config_compatible),
-    "m-config-minus": (config_minus_window, _config_compatible),
-    "silting-deg1-window": (shifted_silting_window, _silting_compatible),
+    "m-cluster-tilting": (cluster_tilting_window, "silting"),
+    "m-config": (config_window, "config"),
+    "m-config-minus": (config_minus_window, "config"),
+    "silting-deg1-window": (shifted_silting_window, "silting"),
 }
 M_WINDOW_KINDS = tuple(_M_KINDS)
 ENUMERATION_KINDS = (*M_WINDOW_KINDS, "silting-in-window")
@@ -295,11 +333,11 @@ def enumerate_kind_indexed(rs: RootSystemData, kind: str, m: int,
     if kind == "silting-in-window":
         if window is None:
             raise ValueError("silting-in-window needs an explicit window")
-        return _enumerate(rs, window, _silting_compatible)
+        return _enumerate(rs, window, "silting")
     if kind not in _M_KINDS:
         raise ValueError(f"unknown enumeration kind {kind!r}")
-    make_window, compatible = _M_KINDS[kind]
-    return _enumerate(rs, make_window(m), compatible)
+    make_window, rule = _M_KINDS[kind]
+    return _enumerate(rs, make_window(m), rule)
 
 
 def enumerate_kind(rs: RootSystemData, kind: str, m: int,

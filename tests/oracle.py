@@ -1,23 +1,30 @@
 """Independent oracles used only by the test suite.
 
-These deliberately avoid the library's Serre-duality recursion: Hom and
-Ext^1 are computed from explicit matrix representations (type A interval
-modules) by exact linear algebra over the rationals, reflection length by
-breadth-first search in the Cayley graph, and Fac-torsion membership by
-checking that the joint image of all homomorphisms covers the target.
-The periodic-configuration checks are the bounded loops over F-powers
+Hom and Ext^1 are computed from explicit matrix representations by exact
+linear algebra over the rationals, the library's Hom table is compared with
+the Serre-duality recursion it once used, and the enumeration graph with
+the pairwise Ext predicates it once called.  Reflection length comes from
+breadth-first search in the Cayley graph, and Fac-torsion membership from
+checking that the joint image of all homomorphisms covers the target (type
+A).  The periodic-configuration checks are the bounded loops over F-powers
 f_power(x, k), |k| up to a degree reach, against which the library's
 orbit walk is compared.  It also lists every admissible numbering of a
 Dynkin diagram, the input of the orientation sweeps.
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
-from exseq.derived import DObj, WindowSpec, f_power, hom_dim, window_objects
+from exseq.derived import (
+    DObj, WindowSpec, f_power, hom_dim, nonzero_exts, window_objects,
+)
 from exseq.riedtmann import PeriodicConfig
-from exseq.roots import QuiverDescriptor, QuiverError, RootSystemData
+from exseq.roots import (
+    QuiverDescriptor, QuiverError, RootSystemData, coxeter_transform,
+)
 from exseq.sequences import MutationError
 from exseq.silting import DCollection, collection, is_hom_leq0_config
 from exseq.weyl import WeylGroup, mat_mul
@@ -64,48 +71,87 @@ def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# Interval representations for type A quivers.
+# Explicit representations.
 # ---------------------------------------------------------------------------
 
 def _check_interval(rs: RootSystemData, root: int) -> tuple[int, ...]:
     dim = rs.positive_roots[root]
     if any(c not in (0, 1) for c in dim):
-        raise ValueError("the matrix oracle handles type A (0/1 roots) only")
+        raise ValueError("the Fac oracle handles type A (0/1 roots) only")
     return dim
 
 
-def _delta_matrix(rs: RootSystemData, rm: int, rn: int
-                  ) -> tuple[list[list[Fraction]], list[int], int]:
-    """The linear system whose kernel is Hom(M, N) and cokernel Ext^1(M, N),
-    for the interval representations attached to two roots.
+Matrix = list[list[Fraction]]
 
-    Returns (equation rows, unknown vertex list, equation count).
-    """
-    dm = _check_interval(rs, rm)
-    dn = _check_interval(rs, rn)
-    unknowns = [v for v in range(rs.n) if dm[v] and dn[v]]
-    index = {v: k for k, v in enumerate(unknowns)}
+
+@cache
+def representation(quiver: QuiverDescriptor,
+                   dim: tuple[int, ...]) -> dict[tuple[int, int], Matrix]:
+    """A representation with dimension vector dim of a Dynkin quiver that is
+    indecomposable, as a map from each 0-based arrow (i, j) to a
+    dim[j] x dim[i] matrix.
+
+    A 0/1 dimension vector of a tree quiver has connected support; the
+    representation with every arrow inside it acting as 1 is a brick.
+    Otherwise the maps are seeded random integer matrices, drawn until
+    End = k.  A brick is indecomposable, and by Gabriel's theorem there is
+    one indecomposable per positive root, so any brick of that dimension
+    vector is it."""
+    arrows = [(i - 1, j - 1) for i, j in quiver.arrows]
+    if all(c in (0, 1) for c in dim):
+        return {(i, j): [[Fraction(1)] * dim[i]] * dim[j] for i, j in arrows}
+    rng = random.Random(repr((quiver.arrows, dim)))
+    for _ in range(100):
+        rep = {(i, j): [[Fraction(rng.randint(-2, 2)) for _ in range(dim[i])]
+                        for _ in range(dim[j])]
+               for i, j in arrows}
+        if _hom_ext(quiver, dim, rep, dim, rep)[0] == 1:
+            return rep
+    raise AssertionError(f"no brick of dimension {dim} found")
+
+
+def _hom_equations(quiver: QuiverDescriptor, dm, rep_m, dn, rep_n
+                   ) -> tuple[list[list[Fraction]], list[int]]:
+    """The linear system whose kernel is Hom(M, N) and whose cokernel is
+    Ext^1(M, N): one unknown per entry of each phi_v: M_v -> N_v, labelled
+    by its vertex v, and one equation per entry of N_a phi_i - phi_j M_a
+    for each arrow a: i -> j."""
+    index: dict[tuple[int, int, int], int] = {}
+    labels = []
+    for v in range(quiver.rank):
+        for p in range(dn[v]):
+            for q in range(dm[v]):
+                index[v, p, q] = len(labels)
+                labels.append(v)
     rows = []
-    for i, j in rs.quiver.arrows:
-        i -= 1
-        j -= 1
-        if not (dm[i] and dn[j]):
-            continue
-        # N_a phi_i - phi_j M_a = 0 with scalar arrow maps 0 or 1.
-        row = [Fraction(0)] * len(unknowns)
-        if dn[i] and dn[j]:  # N_a = 1
-            row[index[i]] += 1
-        if dm[i] and dm[j]:  # M_a = 1
-            row[index[j]] -= 1
-        rows.append(row)
-    return rows, unknowns, len(rows)
+    for i, j in ((a - 1, b - 1) for a, b in quiver.arrows):
+        ma, na = rep_m[i, j], rep_n[i, j]
+        for p in range(dn[j]):
+            for q in range(dm[i]):
+                row = [Fraction(0)] * len(labels)
+                for t in range(dn[i]):
+                    row[index[i, t, q]] += na[p][t]
+                for t in range(dm[j]):
+                    row[index[j, p, t]] -= ma[t][q]
+                rows.append(row)
+    return rows, labels
+
+
+def _hom_ext(quiver, dm, rep_m, dn, rep_n) -> tuple[int, int]:
+    rows, labels = _hom_equations(quiver, dm, rep_m, dn, rep_n)
+    rank = len(rows and rref(rows)[1])
+    return len(labels) - rank, len(rows) - rank
+
+
+def _system(rs: RootSystemData, rm: int, rn: int):
+    dm, dn = rs.positive_roots[rm], rs.positive_roots[rn]
+    return (rs.quiver, dm, representation(rs.quiver, dm),
+            dn, representation(rs.quiver, dn))
 
 
 def module_hom_ext_oracle(rs: RootSystemData, rm: int, rn: int) -> tuple[int, int]:
     """(dim Hom(M, N), dim Ext^1(M, N)) from explicit representations."""
-    rows, unknowns, equations = _delta_matrix(rs, rm, rn)
-    rank = len(rows and rref(rows)[1])
-    return len(unknowns) - rank, equations - rank
+    return _hom_ext(*_system(rs, rm, rn))
 
 
 def derived_hom_oracle(rs: RootSystemData, x: DObj, y: DObj) -> int:
@@ -119,9 +165,51 @@ def derived_hom_oracle(rs: RootSystemData, x: DObj, y: DObj) -> int:
 
 
 def hom_basis(rs: RootSystemData, rm: int, rn: int) -> tuple[list[int], list[list[Fraction]]]:
-    """Unknown vertex list plus a basis of Hom(M, N) in those coordinates."""
-    rows, unknowns, _ = _delta_matrix(rs, rm, rn)
-    return unknowns, nullspace(rows, len(unknowns))
+    """The vertex of each unknown plus a basis of Hom(M, N) in those
+    coordinates."""
+    rows, labels = _hom_equations(*_system(rs, rm, rn))
+    return labels, nullspace(rows, len(labels))
+
+
+# ---------------------------------------------------------------------------
+# The Hom table by Serre duality, and pairwise compatibility.
+# ---------------------------------------------------------------------------
+
+def serre_hom_table(rs: RootSystemData) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Both Hom arrays of rs.hom_table, by the Serre-duality recursion
+
+        Hom(X, Y) = Hom(Y, tau(X)[1])         (X with non-projective module)
+        Hom(P_i[a], N[b]) = dim N at vertex i if a == b, else 0
+
+    which terminates because tau walks every module to a projective in at
+    most h steps.  tau is read off the Coxeter matrix."""
+    roots = rs.positive_roots
+    vertex = {rs.root_of(p): i for i, p in enumerate(rs.proj_dims)}
+    tau = [None if r in vertex else rs.root_of(coxeter_transform(rs, d))
+           for r, d in enumerate(roots)]
+
+    @cache
+    def hom(rx: int, ry: int, gap: int) -> int:
+        if rx in vertex:
+            return roots[ry][vertex[rx]] if gap == 0 else 0
+        return hom(ry, tau[rx], 1 - gap)
+
+    index = range(len(roots))
+    return tuple(tuple(tuple(hom(rx, ry, gap) for ry in index) for rx in index)
+                 for gap in (0, 1))
+
+
+def silting_compatible(a: DObj, b: DObj) -> bool:
+    """No Ext^i, i >= 1, between a and b in either direction."""
+    return all(i <= 0 for i, _ in nonzero_exts(a, b) + nonzero_exts(b, a))
+
+
+def config_compatible(a: DObj, b: DObj) -> bool:
+    """For a != b, no Ext^i, i <= 0, between them in either direction; for
+    a == b, no negative self-extension."""
+    if a == b:
+        return all(i >= 0 for i, _ in nonzero_exts(a, a))
+    return all(i >= 1 for i, _ in nonzero_exts(a, b) + nonzero_exts(b, a))
 
 
 # ---------------------------------------------------------------------------
@@ -265,3 +353,22 @@ def admissible_quivers(family: str, rank: int):
             yield QuiverDescriptor(family, rank, arrows)
         except QuiverError:
             pass
+
+
+def seeded_quiver(family: str, rank: int, seed: int) -> QuiverDescriptor:
+    """A random admissible orientation of the Dynkin diagram: each edge of
+    the standard orientation flipped at random, the vertices renumbered
+    along a random topological order."""
+    rng = random.Random(seed)
+    edges = [e if rng.random() < 0.5 else e[::-1]
+             for e in QuiverDescriptor.standard(family, rank).arrows]
+    label: dict[int, int] = {}
+    pending = set(range(1, rank + 1))
+    while pending:
+        ready = sorted(v for v in pending
+                       if all(a in label for a, b in edges if b == v))
+        v = ready[rng.randrange(len(ready))]
+        label[v] = len(label) + 1
+        pending.remove(v)
+    return QuiverDescriptor(family, rank,
+                            tuple(sorted((label[a], label[b]) for a, b in edges)))

@@ -3,10 +3,13 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import exseq
 from exseq import QuiverDescriptor, build_root_system, enumerate_kind
 from exseq.cli import _objects_chunks, main
 from exseq.silting import collection_to_list
@@ -371,6 +374,26 @@ def test_enumerate_write_failure_mid_stream(capsys):
     assert code == 2
     assert captured.err.startswith("error: cannot write /dev/full: ")
     assert captured.out.startswith('{\n  "checks": []')
+
+
+@pytest.mark.parametrize("argv,read", [
+    (["enumerate", "--type", "E6", "--m", "1", "--kind", "m-config"], 100),
+    (["nc", "--type", "A3", "--m", "1"], 0),
+])
+def test_closed_stdout_is_output_error(argv, read):
+    # The reader closes the pipe after `read` bytes of a longer document.
+    env = {**os.environ, "PYTHONPATH": str(Path(exseq.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from exseq.cli import main; sys.exit(main())", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err.startswith("error: cannot write stdout: ")
+    assert err.count("\n") == 1, err
 
 
 def test_enumerate_offers_only_runnable_kinds(capsys):

@@ -4,13 +4,16 @@ import itertools
 import pytest
 
 from exseq import (
-    DObj, QuiverError, WindowSpec, class_of, ext_dim, f_translate,
-    f_translate_inv, hom_dim, inj, nu, nu_inv, obj, object_of_class, proj,
-    shift, simple, tau, tau_inv, translate, window_objects,
+    DObj, QuiverError, WindowSpec, build_root_system, class_of, ext_dim,
+    f_translate, f_translate_inv, hom_dim, inj, nu, nu_inv, obj,
+    object_of_class, proj, shift, simple, tau, tau_inv, translate,
+    window_objects,
 )
 from exseq.derived import obj_from_dict, obj_to_dict
 
-from oracle import derived_hom_oracle
+from oracle import (
+    admissible_quivers, derived_hom_oracle, module_hom_ext_oracle, seeded_quiver,
+)
 
 
 def _all_objects(rs, degrees):
@@ -108,14 +111,34 @@ def test_two_consecutive_degrees_only(a2):
         assert len(support) <= 2
 
 
+def _assert_hom_matches_matrix_oracle(rs):
+    objs = _all_objects(rs, range(-2, 3))
+    for x in objs:
+        for y in objs:
+            if abs(y.degree - x.degree) <= 2:
+                assert hom_dim(x, y) == derived_hom_oracle(rs, x, y), (x, y)
+
+
 def test_hom_matches_matrix_oracle_a2_a3(a2, a3):
     for rs in (a2, a3):
-        objs = [DObj(rs, r, d) for r in range(len(rs.positive_roots))
-                for d in range(-2, 3)]
-        for x in objs:
-            for y in objs:
-                if abs(y.degree - x.degree) <= 2:
-                    assert hom_dim(x, y) == derived_hom_oracle(rs, x, y), (x, y)
+        _assert_hom_matches_matrix_oracle(rs)
+
+
+def test_hom_matches_matrix_oracle_d4():
+    quivers = list(admissible_quivers("D", 4))
+    assert len(quivers) == 4
+    for q in quivers:
+        _assert_hom_matches_matrix_oracle(build_root_system(q))
+
+
+@pytest.mark.parametrize("family,rank,seed", [("D", 5, 10), ("E", 6, 11)])
+def test_hom_table_matches_matrix_oracle(family, rank, seed):
+    rs = build_root_system(seeded_quiver(family, rank, seed))
+    roots = range(len(rs.positive_roots))
+    h0, h1 = rs.hom_table
+    for rm in roots:
+        for rn in roots:
+            assert (h0[rm][rn], h1[rm][rn]) == module_hom_ext_oracle(rs, rm, rn)
 
 
 def test_class_round_trip(a2):

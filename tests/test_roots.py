@@ -10,6 +10,8 @@ from exseq import (
     euler_form, fuss_catalan, reflect, sym_form,
 )
 
+from oracle import admissible_quivers, seeded_quiver, serre_hom_table
+
 
 def test_a2_data(a2):
     assert a2.positive_roots == ((1, 0), (0, 1), (1, 1))
@@ -171,6 +173,23 @@ def test_root_system_debug_export(a2):
     data = a2.to_dict()
     assert data["coxeter_number"] == 3
     assert data["positive_roots"] == [[1, 0], [0, 1], [1, 1]]
+
+
+@pytest.mark.parametrize("family,ranks", [
+    ("A", range(1, 7)), ("D", range(4, 7)), ("E", (6,)),
+])
+def test_hom_table_matches_serre_recursion(family, ranks):
+    for rank in ranks:
+        for q in admissible_quivers(family, rank):
+            rs = build_root_system(q)
+            assert rs.hom_table == serre_hom_table(rs), q
+
+
+@pytest.mark.parametrize("rank,seeds", [(6, (4, 5)), (7, (6, 7)), (8, (8, 9))])
+def test_hom_table_matches_serre_recursion_e(rank, seeds):
+    for seed in seeds:
+        rs = build_root_system(seeded_quiver("E", rank, seed))
+        assert rs.hom_table == serre_hom_table(rs), rs.quiver
 
 
 def test_doctests():

@@ -5,17 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exseq import (
-    MutationSign, collection, config_to_silting, enumerate_kind,
-    is_hom_leq0_config, is_m_cluster_tilting, is_m_config, is_partial_silting,
-    is_silting, mu_rev, mu_rev_inverse, proj, shift, silting_to_config, simple,
+    MutationSign, WindowSpec, build_root_system, collection, config_to_silting,
+    enumerate_kind, is_hom_leq0_config, is_m_cluster_tilting, is_m_config,
+    is_partial_silting, is_silting, mu_rev, mu_rev_inverse, proj, shift,
+    silting_to_config, simple,
 )
+from exseq.derived import window_objects
 from exseq.sequences import is_exceptional
 from exseq.silting import (
-    _cliques_of_size, collection_from_list, collection_to_list, explain_not_config,
-    explain_not_silting, order_config, order_silting,
+    _M_KINDS, _cliques_of_size, _compatibility_graph, collection_from_list,
+    collection_to_list, explain_not_config, explain_not_silting, order_config,
+    order_silting,
 )
 
-from oracle import admissible_quivers
+from oracle import (
+    admissible_quivers, config_compatible, seeded_quiver, silting_compatible,
+)
 
 
 def test_silting_predicates_a2(a2):
@@ -310,3 +315,39 @@ def test_cliques_match_brute_force(data):
     expected = [c for c in itertools.combinations(range(count), k)
                 if all(p in edges for p in itertools.combinations(c, 2))]
     assert _cliques_of_size(count, neighbours, k) == expected
+
+
+GRAPH_WINDOWS = (WindowSpec(-1, 2), WindowSpec(0, 1, minus_projectives=True),
+                 WindowSpec(1, 2, plus_injectives=True))
+
+
+def _assert_graphs_match_predicates(rs, ms):
+    cases = [(make_window(m), rule) for m in ms
+             for make_window, rule in _M_KINDS.values()]
+    cases += [(w, "silting") for w in GRAPH_WINDOWS]
+    predicates = {"silting": silting_compatible, "config": config_compatible}
+    for w, rule in cases:
+        objs, neighbours = _compatibility_graph(rs, w, rule)
+        compatible = predicates[rule]
+        assert objs == window_objects(rs, w)
+        assert all(compatible(x, x) for x in objs)
+        expected = [0] * len(objs)
+        for (i, a), (j, b) in itertools.combinations(enumerate(objs), 2):
+            if compatible(a, b):
+                expected[i] |= 1 << j
+                expected[j] |= 1 << i
+        assert neighbours == expected, (rs.quiver, w, rule)
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5),
+])
+def test_compatibility_graph_matches_pairwise_predicates(family, rank):
+    for q in admissible_quivers(family, rank):
+        _assert_graphs_match_predicates(build_root_system(q), (1, 2))
+
+
+@pytest.mark.parametrize("rank,seed", [(6, 1), (7, 2), (8, 3)])
+def test_compatibility_graph_matches_pairwise_predicates_e(rank, seed):
+    _assert_graphs_match_predicates(
+        build_root_system(seeded_quiver("E", rank, seed)), (1,))
