@@ -22,7 +22,7 @@ minus = enumerate_kind(rs, "m-config-minus", 1)
 print(f"  count = {len(minus)}  (positive Fuss-Catalan |C_-2| = {abs(fuss_catalan(rs, -2))})")
 for col in minus:
     periodic = config_to_riedtmann(col)
-    seed = periodic.seeds.sorted()[0]
+    seed = periodic.seeds.objects[0]
     orbit_bits = [f_power(seed, k) for k in (-1, 0, 1)]
     back = riedtmann_to_config(periodic)
     print(f"  {col}")

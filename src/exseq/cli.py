@@ -98,7 +98,9 @@ def _build(args) -> "RootSystemData":
     family, rank = args.type
     if args.orientation:
         try:
-            arrows = tuple((int(a), int(b)) for a, b in json.loads(args.orientation))
+            arrows = tuple((a, b) for a, b in json.loads(args.orientation))
+            if not all(type(v) is int for arrow in arrows for v in arrow):
+                raise TypeError
         except (TypeError, ValueError):
             raise QuiverError(f"bad orientation {args.orientation!r}; "
                               "expected a JSON list of [i, j] arrows") from None
@@ -249,6 +251,8 @@ def _trace_of(seq, inverse: bool) -> list[dict]:
 def cmd_biject(args) -> int:
     try:
         rs = _build(args)
+        if args.m < 0:
+            raise ValueError("m must be non-negative")
         records = _read_records(args.infile)
         group = None
         if args.direction in ("nc-to-config", "config-to-nc"):

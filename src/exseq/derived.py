@@ -8,11 +8,15 @@ algebra is involved; the matrix-representation oracle lives in the test
 suite only.
 
 Which Ext^i between two stalks is nonzero is decided here, by nonzero_exts;
-the silting, mutation, Weyl and torsion layers all ask it.
+the silting, mutation, Weyl and torsion layers all ask it.  The two
+compatibility rules live here too, in RULES: the Ext indices a silting
+object and a Hom<=0-configuration forbid between distinct summands.
+forbidden_ext asks one of them about one ordered pair.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 from .roots import DimVector, QuiverError, RootSystemData, vec_neg
 
@@ -40,10 +44,11 @@ def _require_categorical(rs: RootSystemData) -> None:
         )
 
 
-def _same_system(x: DObj, y: DObj) -> RootSystemData:
+def _hom_table(x: DObj, y: DObj):
     if x.rs is not y.rs:
         raise ValueError("objects over different root systems")
-    return x.rs
+    _require_categorical(x.rs)
+    return x.rs.hom_table
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +83,11 @@ def obj_to_dict(x: DObj) -> dict:
 
 
 def obj_from_dict(rs: RootSystemData, data: dict) -> DObj:
+    """Read {"dim": [...], "deg": d}; every entry must be a JSON integer."""
     try:
-        dim, degree = tuple(int(c) for c in data["dim"]), int(data["deg"])
+        dim, degree = tuple(data["dim"]), data["deg"]
+        if not all(type(c) is int for c in (*dim, degree)):   # no bool or float
+            raise TypeError
     except (KeyError, TypeError):
         raise ValueError(f"object record {data!r} is not of the form "
                          '{"dim": [...], "deg": d}') from None
@@ -171,10 +179,9 @@ def translate(x: DObj, op: str, k: int = 1) -> DObj:
 
 def hom_dim(x: DObj, y: DObj) -> int:
     """Exact dimension of Hom_D(x, y)."""
-    rs = _same_system(x, y)
-    _require_categorical(rs)
+    table = _hom_table(x, y)
     gap = y.degree - x.degree
-    return rs.hom_table[gap][x.root][y.root] if gap in (0, 1) else 0
+    return table[gap][x.root][y.root] if gap in (0, 1) else 0
 
 
 def ext_dim(x: DObj, y: DObj, i: int) -> int:
@@ -188,15 +195,35 @@ def nonzero_exts(x: DObj, y: DObj) -> tuple[tuple[int, int], ...]:
     Stalk objects interact only at i = x.degree - y.degree and at i + 1, so
     there are at most two pairs.
     """
-    rs = _same_system(x, y)
-    _require_categorical(rs)
+    table = _hom_table(x, y)
     base = x.degree - y.degree
     out = []
     for i in (base, base + 1):
-        dim = rs.hom_table[i - base][x.root][y.root]
+        dim = table[i - base][x.root][y.root]
         if dim:
             out.append((i, dim))
     return tuple(out)
+
+
+# The inclusive range of the Ext indices each rule forbids between distinct
+# summands: i >= 1 in a silting object, i <= 0 (Hom too) in a configuration.
+RULES = {"silting": (1, inf), "config": (-inf, 0)}
+
+
+def forbidden_ext(x: DObj, y: DObj, rule: str) -> int | None:
+    """The least i in the rule's range with Ext^i(x, y) nonzero, or None.
+    Only i = x.degree - y.degree and i + 1 can qualify (see nonzero_exts),
+    so a range missing both answers at once."""
+    lo, hi = RULES[rule]
+    base = x.degree - y.degree
+    if base + 1 < lo or base > hi:
+        return None
+    h0, h1 = _hom_table(x, y)
+    if lo <= base and h0[x.root][y.root]:
+        return base
+    if base < hi and h1[x.root][y.root]:
+        return base + 1
+    return None
 
 
 # ---------------------------------------------------------------------------

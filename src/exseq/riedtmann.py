@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .derived import (
-    DObj, WindowSpec, f_translate, f_translate_inv, hom_dim, is_projective,
-    nonzero_exts, window_objects,
+    DObj, WindowSpec, f_translate, f_translate_inv, forbidden_ext, hom_dim,
+    is_projective, window_objects,
 )
 from .sequences import ExcSeq, MutationError, MutationSign, mutate
 from .silting import DCollection, collection, is_hom_leq0_config, is_m_config
@@ -51,7 +51,7 @@ def _orbit(x: DObj, lo: int, hi: int) -> list[DObj]:
 
 def make_periodic(seeds: DCollection) -> PeriodicConfig:
     """Wrap seeds, rejecting two seeds in one F-orbit."""
-    objs = seeds.sorted()
+    objs = seeds.objects
     for i, a in enumerate(objs):
         for b in objs[i + 1:]:
             if b in _orbit(a, b.degree, b.degree):
@@ -68,7 +68,7 @@ def is_combinatorial_configuration(p: PeriodicConfig, probe_window: WindowSpec) 
     orbit members within one degree of a seed, or of a window object, are
     walked.
     """
-    seeds = p.seeds.sorted()
+    seeds = p.seeds.objects
     if not seeds:
         raise ValueError("empty seed set")
     rs = p.seeds.rs
@@ -119,7 +119,7 @@ def riedtmann_to_config(p: PeriodicConfig) -> DCollection:
     if not is_combinatorial_configuration(p, _RIEDTMANN_PROBE):
         raise ValueError("not a combinatorial configuration")
     window = WindowSpec(0, 1, minus_projectives=True)
-    result = collection(x for seed in p.seeds.sorted()
+    result = collection(x for seed in p.seeds.objects
                         for x in _orbit(seed, window.lo, window.hi)
                         if window.contains(x))
     if not is_hom_leq0_config(result):
@@ -133,21 +133,12 @@ def riedtmann_to_config(p: PeriodicConfig) -> DCollection:
 # Torsion classes on degree windows.
 # ---------------------------------------------------------------------------
 
-def _has_positive_ext(x: DObj, z: DObj) -> bool:
-    # Ext^i(x, z) can be nonzero only for i <= x.degree - z.degree + 1, and
-    # nonzero_exts lists i ascending.
-    if x.degree < z.degree:
-        return False
-    exts = nonzero_exts(x, z)
-    return bool(exts) and exts[-1][0] >= 1
-
-
 def torsion_window(col: DCollection, w: WindowSpec) -> frozenset[DObj]:
     """The part of A(col) inside the window: objects receiving no positive
     extensions from any summand."""
-    summands = col.sorted()
     return frozenset(z for z in window_objects(col.rs, w)
-                     if not any(_has_positive_ext(s, z) for s in summands))
+                     if all(forbidden_ext(s, z, "silting") is None
+                            for s in col.objects))
 
 
 def check_negative_mutation_invariance(seq: ExcSeq, i: int, w: WindowSpec) -> bool:
@@ -169,4 +160,5 @@ def ext_projectives(a_window: frozenset[DObj], w: WindowSpec, margin: int = 2
 
     interior = [x for x in a_window if w.lo + margin <= x.degree <= w.hi - margin]
     return frozenset(x for x in interior
-                     if not any(_has_positive_ext(x, z) for z in a_window))
+                     if all(forbidden_ext(x, z, "silting") is None
+                            for z in a_window))

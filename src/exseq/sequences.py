@@ -40,20 +40,14 @@ class MutationError(RuntimeError):
     an ambiguous degree, or an output violating a theorem-backed postcondition."""
 
 
-def _module_orthogonal(later: DObj, earlier: DObj) -> bool:
-    """Hom and Ext^1 vanish from later to earlier on underlying modules.
-
-    Stalks interact at two consecutive Ext degrees whose Hom spaces depend
-    only on the modules, so no Ext at all is the same condition."""
-    return not nonzero_exts(later, earlier)
-
-
 def is_exceptional(items: Iterable[DObj]) -> bool:
-    """Whether the list of objects forms an exceptional sequence."""
+    """Whether the list of objects forms an exceptional sequence: no Ext at
+    all from a later term to an earlier one, which for stalks is Hom and
+    Ext^1 vanishing between the underlying modules."""
     seq = tuple(items)
     for j in range(len(seq)):
         for i in range(j):
-            if not _module_orthogonal(seq[j], seq[i]):
+            if nonzero_exts(seq[j], seq[i]):
                 return False
     return True
 
@@ -190,10 +184,6 @@ def rotate(seq: ExcSeq) -> ExcSeq:
 # Completion and exhaustive enumeration at module level.
 # ---------------------------------------------------------------------------
 
-def _extends(cand: DObj, prefix: ExcSeq) -> bool:
-    return all(_module_orthogonal(cand, e) for e in prefix)
-
-
 def complete_sequence(partial: Iterable[DObj]) -> ExcSeq:
     """Extend a module-level exceptional sequence to a complete one by
     appending, deterministically in the stored root order.
@@ -220,7 +210,7 @@ def _complete_from(rs: RootSystemData, seq: ExcSeq) -> ExcSeq | None:
         return seq
     for root in range(len(rs.positive_roots)):
         cand = DObj(rs, root, 0)
-        if _extends(cand, seq):
+        if not any(nonzero_exts(cand, e) for e in seq):
             found = _complete_from(rs, seq + (cand,))
             if found is not None:
                 return found
@@ -242,7 +232,7 @@ def enumerate_complete_sequences(rs: RootSystemData) -> list[ExcSeq]:
             return
         for root in roots:
             cand = DObj(rs, root, 0)
-            if _extends(cand, seq):
+            if not any(nonzero_exts(cand, e) for e in seq):
                 extend(seq + (cand,))
 
     extend(())

@@ -2,11 +2,14 @@
 
 A DCollection is an unordered basic object (a set of distinct stalk
 indecomposables).  Predicates here are exact, each derived from the
-function that explains its failure.  Enumeration searches for n-cliques of
-the pairwise compatibility graph on the indecomposables of a degree window;
-a clique is already silting, and a configuration clique is already a
-configuration, because the cycle condition H4 holds on every set of
-indecomposables in Dynkin type (see enumerate_configs).
+function that explains its failure.  The silting and configuration rules
+are Ext-index ranges in derived.RULES: the predicates ask
+derived.forbidden_ext, the enumeration graph reads the ranges.
+Enumeration searches for n-cliques of the pairwise compatibility graph on
+the indecomposables of a degree window; a clique is already silting, and
+a configuration clique is already a configuration, because the cycle
+condition H4 holds on every set of indecomposables in Dynkin type (see
+enumerate_configs).
 """
 from __future__ import annotations
 
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .derived import (
-    DObj, WindowSpec, ext_dim, hom_dim, nonzero_exts,
-    obj_from_dict, obj_to_dict, window_objects,
+    RULES, DObj, WindowSpec, ext_dim, forbidden_ext, hom_dim, obj_from_dict,
+    obj_to_dict, window_objects,
 )
 from .roots import RootSystemData
 from .sequences import (
@@ -39,9 +42,6 @@ class DCollection:
     def rs(self) -> RootSystemData:
         return self.objects[0].rs
 
-    def sorted(self) -> tuple[DObj, ...]:
-        return self.objects
-
     def __repr__(self):
         inner = ", ".join(repr(x) for x in self.objects)
         return f"DCollection({{{inner}}})"
@@ -58,7 +58,7 @@ def collection(objs: Iterable[DObj]) -> DCollection:
 
 
 def collection_to_list(col: DCollection) -> list[dict]:
-    return [obj_to_dict(x) for x in col.sorted()]
+    return [obj_to_dict(x) for x in col.objects]
 
 
 def collection_from_list(rs: RootSystemData, data: list[dict]) -> DCollection:
@@ -71,22 +71,17 @@ def collection_from_list(rs: RootSystemData, data: list[dict]) -> DCollection:
 # Pairwise compatibility and the predicates.
 # ---------------------------------------------------------------------------
 
-def _positive_ext(a: DObj, b: DObj) -> int | None:
-    """The least i >= 1 with Ext^i(a, b) nonzero, or None."""
-    return next((i for i, _ in nonzero_exts(a, b) if i >= 1), None)
-
-
-def _negative_ext(a: DObj, b: DObj) -> int | None:
-    """The least i <= -1 with Ext^i(a, b) nonzero, or None."""
-    return next((i for i, _ in nonzero_exts(a, b) if i <= -1), None)
-
-
-def _explain_not_partial_silting(objs: tuple[DObj, ...]) -> str | None:
+def _explain_pairs(objs: tuple[DObj, ...], rule: str) -> str | None:
+    """The first ordered pair of distinct summands with an Ext index the rule
+    forbids, named with the least such index, or None."""
     for a in objs:
         for b in objs:
-            i = _positive_ext(a, b)
-            if i is not None:
-                return f"Ext^{i}({a!r}, {b!r}) is nonzero"
+            if a != b:
+                i = forbidden_ext(a, b, rule)
+                if i == 0:
+                    return f"Hom({a!r}, {b!r}) is nonzero"
+                if i is not None:
+                    return f"Ext^{i}({a!r}, {b!r}) is nonzero"
     return None
 
 
@@ -94,28 +89,22 @@ def explain_not_silting(col: DCollection) -> str | None:
     """A human-readable reason col is not silting, or None when it is."""
     if len(col.objects) != col.rs.n:
         return f"silting needs {col.rs.n} summands, found {len(col.objects)}"
-    return _explain_not_partial_silting(col.sorted())
+    return _explain_pairs(col.objects, "silting")
 
 
 def explain_not_config(col: DCollection) -> str | None:
     """A human-readable reason col is not a Hom<=0-configuration, or None."""
-    objs = col.sorted()
+    objs = col.objects
     if len(objs) != col.rs.n:
         return f"a configuration needs {col.rs.n} summands, found {len(objs)}"
-    for a in objs:
-        for b in objs:
-            if a != b and hom_dim(a, b):
-                return f"Hom({a!r}, {b!r}) is nonzero"
-            i = _negative_ext(a, b)
-            if i is not None:
-                return f"Ext^{i}({a!r}, {b!r}) is nonzero"
-    if _ext1_digraph_has_cycle(objs):
+    reason = _explain_pairs(objs, "config")
+    if reason is None and _topo_sort(objs, _ext1_edge) is None:
         return "the Ext^1 digraph on the summands has a cycle"
-    return None
+    return reason
 
 
 def is_partial_silting(col: DCollection) -> bool:
-    return _explain_not_partial_silting(col.sorted()) is None
+    return _explain_pairs(col.objects, "silting") is None
 
 
 def is_silting(col: DCollection) -> bool:
@@ -145,40 +134,6 @@ def is_m_cluster_tilting(col: DCollection, m: int) -> bool:
         raise ValueError("m must be at least 1")
     w = cluster_tilting_window(m)
     return all(w.contains(x) for x in col.objects) and is_silting(col)
-
-
-def digraph_has_cycle(succ: list[list[int]]) -> bool:
-    """Cycle detection on adjacency lists, iterative three-colour DFS."""
-    k = len(succ)
-    state = [0] * k  # 0 unvisited, 1 on stack, 2 done
-    for start in range(k):
-        if state[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        state[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state[nxt] == 1:
-                    return True
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
-    return False
-
-
-def _ext1_digraph_has_cycle(objs: tuple[DObj, ...]) -> bool:
-    k = len(objs)
-    return digraph_has_cycle([
-        [j for j in range(k) if j != i and ext_dim(objs[i], objs[j], 1)]
-        for i in range(k)
-    ])
 
 
 def is_hom_leq0_config(col: DCollection) -> bool:
@@ -219,10 +174,6 @@ def _cliques_of_size(count: int, neighbours: list[int], k: int) -> list[tuple[in
     return out
 
 
-# The Ext indices that each compatibility rule forbids between two distinct
-# summands: Ext^i for i >= 1 in a silting object, Ext^i for i <= 0 (so Hom
-# too) in a configuration.
-_FORBIDS = {"silting": lambda i: i >= 1, "config": lambda i: i <= 0}
 _NONZERO = bytes([48] + [49] * 255)    # byte 0 -> "0", any other -> "1"
 
 
@@ -252,7 +203,7 @@ def _compatibility_graph(rs: RootSystemData, w: WindowSpec,
     objs = window_objects(rs, w)
     h0, h1 = rs.hom_table
     arrays = [_row_masks(t) for t in (h0, h1, zip(*h0), zip(*h1))]
-    forbids = _FORBIDS[rule]
+    lo, hi = RULES[rule]
     layout: dict[int, tuple[int, list[int]]] = {}   # degree -> offset, roots
     for k, x in enumerate(objs):
         layout.setdefault(x.degree, (k, []))[1].append(x.root)
@@ -264,7 +215,7 @@ def _compatibility_graph(rs: RootSystemData, w: WindowSpec,
             g = a.degree - degree
             bad = 0
             for rows, i in zip(arrays, (g, g + 1, -g, 1 - g)):
-                if forbids(i):
+                if lo <= i <= hi:
                     bad |= rows[a.root]
             if len(roots) == len(rs.positive_roots):
                 mask |= (full & ~bad) << offset
@@ -320,86 +271,80 @@ _M_KINDS = {
     "silting-deg1-window": (shifted_silting_window, "silting"),
 }
 M_WINDOW_KINDS = tuple(_M_KINDS)
-ENUMERATION_KINDS = (*M_WINDOW_KINDS, "silting-in-window")
 
 
-def enumerate_kind_indexed(rs: RootSystemData, kind: str, m: int,
-                           window: WindowSpec | None = None
+def enumerate_kind_indexed(rs: RootSystemData, kind: str, m: int
                            ) -> tuple[list[DObj], list[tuple[int, ...]]]:
     """enumerate_kind before the wrapping: the window's objects and the
     collections as ascending index tuples into them."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    if kind == "silting-in-window":
-        if window is None:
-            raise ValueError("silting-in-window needs an explicit window")
-        return _enumerate(rs, window, "silting")
     if kind not in _M_KINDS:
         raise ValueError(f"unknown enumeration kind {kind!r}")
     make_window, rule = _M_KINDS[kind]
     return _enumerate(rs, make_window(m), rule)
 
 
-def enumerate_kind(rs: RootSystemData, kind: str, m: int,
-                   window: WindowSpec | None = None) -> list[DCollection]:
-    """Dispatch enumeration by kind name; m must be at least 1."""
-    return _collections(*enumerate_kind_indexed(rs, kind, m, window))
+def enumerate_kind(rs: RootSystemData, kind: str, m: int) -> list[DCollection]:
+    """Dispatch enumeration by kind name; m must be at least 1.  For any
+    other window use enumerate_silting or enumerate_configs."""
+    return _collections(*enumerate_kind_indexed(rs, kind, m))
 
 
 # ---------------------------------------------------------------------------
 # Ordering a collection into an exceptional sequence.
 # ---------------------------------------------------------------------------
 
-def _topo_sort(objs: list[DObj], has_edge) -> list[DObj]:
-    """Topological order with edges pointing earlier -> later; root-index
-    tie-break for determinism."""
+def _topo_sort(objs, has_edge) -> list[DObj] | None:
+    """Topological order with edges pointing earlier -> later, the least
+    root index first among the objects ready; None when there is a cycle."""
     pending = sorted(objs, key=lambda x: x.root)
-    indeg = {x: 0 for x in pending}
-    for a in pending:
-        for b in pending:
-            if a != b and has_edge(a, b):
-                indeg[b] += 1
+    succ = [[j for j, b in enumerate(pending) if a != b and has_edge(a, b)]
+            for a in pending]
+    indeg = [sum(j in targets for targets in succ) for j in range(len(pending))]
     out = []
-    while pending:
-        ready = next((x for x in pending if indeg[x] == 0), None)
-        if ready is None:
-            raise MutationError("within-degree ordering graph has a cycle")
-        pending.remove(ready)
-        out.append(ready)
-        for b in pending:
-            if has_edge(ready, b):
-                indeg[b] -= 1
+    while len(out) < len(pending):
+        i = next((j for j, d in enumerate(indeg) if d == 0), None)
+        if i is None:
+            return None
+        indeg[i] = -1       # placed; its predecessors are all placed already
+        out.append(pending[i])
+        for j in succ[i]:
+            indeg[j] -= 1
     return out
+
+
+def _ext1_edge(a: DObj, b: DObj) -> bool:
+    return ext_dim(a, b, 1) != 0
+
+
+def _order(col: DCollection, descending: bool, has_edge, name: str) -> ExcSeq:
+    """The summands by degree, ascending or descending, each degree in
+    topological order of has_edge; checked to be exceptional."""
+    by_degree: dict[int, list[DObj]] = {}
+    for x in col.objects:
+        by_degree.setdefault(x.degree, []).append(x)
+    seq: list[DObj] = []
+    for d in sorted(by_degree, reverse=descending):
+        part = _topo_sort(by_degree[d], has_edge)
+        if part is None:
+            raise MutationError("within-degree ordering graph has a cycle")
+        seq.extend(part)
+    if not is_exceptional(seq):
+        raise MutationError(f"{name} ordering failed to be exceptional")
+    return tuple(seq)
 
 
 def order_silting(col: DCollection) -> ExcSeq:
     """Order a silting object into an exceptional sequence: ascending degree,
     within one degree so that nonzero Homs point forward."""
-    by_degree: dict[int, list[DObj]] = {}
-    for x in col.objects:
-        by_degree.setdefault(x.degree, []).append(x)
-    seq: list[DObj] = []
-    for d in sorted(by_degree):
-        seq.extend(_topo_sort(by_degree[d], lambda a, b: hom_dim(a, b) != 0))
-    result = tuple(seq)
-    if not is_exceptional(result):
-        raise MutationError("silting ordering failed to be exceptional")
-    return result
+    return _order(col, False, lambda a, b: hom_dim(a, b) != 0, "silting")
 
 
 def order_config(col: DCollection) -> ExcSeq:
     """Order a configuration into an exceptional sequence: descending degree,
     within one degree so that Ext^1 arrows point forward."""
-    by_degree: dict[int, list[DObj]] = {}
-    for x in col.objects:
-        by_degree.setdefault(x.degree, []).append(x)
-    seq: list[DObj] = []
-    for d in sorted(by_degree, reverse=True):
-        seq.extend(_topo_sort(by_degree[d], lambda a, b: ext_dim(a, b, 1) != 0))
-    result = tuple(seq)
-    if not is_exceptional(result):
-        raise MutationError("configuration ordering failed to be exceptional")
-    return result
+    return _order(col, True, _ext1_edge, "configuration")
 
 
 def silting_to_config(col: DCollection) -> DCollection:

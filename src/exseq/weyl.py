@@ -343,10 +343,12 @@ def nc_to_dict(group: WeylGroup, parts: NCTuple, with_matrices: bool = False) ->
 def nc_from_dict(group: WeylGroup, data: dict) -> NCTuple:
     rs = group.rs
     try:
-        words = [[rs.root_of(tuple(dim)) for dim in word]
-                 for word in data["reflection_words"]]
+        words = [[tuple(dim) for dim in word] for word in data["reflection_words"]]
+        if not all(type(c) is int for word in words for dim in word for c in dim):
+            raise TypeError   # a bool or float would hash equal to an int
     except (KeyError, TypeError):
         raise ValueError(f"noncrossing record {data!r} is not of the form "
                          '{"reflection_words": [[root, ...], ...]}') from None
+    words = [[rs.root_of(dim) for dim in word] for word in words]
     return tuple(reduce(mat_mul, (reflection_matrix(rs, r) for r in word),
                         group.identity) for word in words)

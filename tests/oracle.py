@@ -292,7 +292,7 @@ def same_f_orbit(a: DObj, b: DObj, reach: int) -> bool:
 
 
 def make_periodic(seeds: DCollection) -> PeriodicConfig:
-    objs = seeds.sorted()
+    objs = seeds.objects
     reach = _degree_span(objs) + 2
     for i, a in enumerate(objs):
         for b in objs[i + 1:]:
@@ -302,7 +302,7 @@ def make_periodic(seeds: DCollection) -> PeriodicConfig:
 
 
 def is_combinatorial_configuration(p: PeriodicConfig, probe_window: WindowSpec) -> bool:
-    seeds = p.seeds.sorted()
+    seeds = p.seeds.objects
     if not seeds:
         raise ValueError("empty seed set")
     span = _degree_span(seeds)
@@ -326,7 +326,7 @@ def riedtmann_to_config(p: PeriodicConfig) -> DCollection:
         raise ValueError("not a combinatorial configuration")
     window = WindowSpec(0, 1, minus_projectives=True)
     members = set()
-    for seed in p.seeds.sorted():
+    for seed in p.seeds.objects:
         reach = abs(seed.degree) + 3
         for k in range(-reach, reach + 1):
             x = f_power(seed, k)

@@ -1,0 +1,156 @@
+"""The public API of exseq: the names exseq exports and the signature of
+each exported function and class.  A change to either is an API change;
+edit the lists below with it and record it in CHANGES.md."""
+import enum
+import inspect
+
+import exseq
+
+PUBLIC_NAMES = [
+    'DCollection', 'DObj', 'ExcSeq', 'MutationError', 'MutationSign',
+    'NCTuple', 'PeriodicConfig', 'QuiverDescriptor', 'QuiverError',
+    'RootSystemData', 'WeylGroup', 'WindowSpec', 'abs_length',
+    'build_root_system', 'check_negative_mutation_invariance', 'class_of',
+    'collection', 'complete_sequence', 'config_to_riedtmann',
+    'config_to_silting', 'coxeter_element', 'coxeter_transform', 'derived',
+    'enumerate_complete_sequences', 'enumerate_configs', 'enumerate_kind',
+    'enumerate_m_nc', 'enumerate_silting', 'euler_form', 'ext_dim',
+    'ext_projectives', 'f_power', 'f_translate', 'f_translate_inv',
+    'fuss_catalan', 'generate_weyl', 'hom_dim', 'inj',
+    'is_combinatorial_configuration', 'is_exceptional', 'is_hom_leq0_config',
+    'is_injective', 'is_m_cluster_tilting', 'is_m_config',
+    'is_partial_silting', 'is_projective', 'is_silting', 'make_periodic',
+    'mu_rev', 'mu_rev_inverse', 'mutate', 'nu', 'nu_inv', 'obj',
+    'object_of_class', 'order_config', 'order_silting', 'phi', 'phi_inverse',
+    'proj', 'reflect', 'reflection_factorizations', 'reflection_matrix',
+    'reflection_of_object', 'riedtmann', 'riedtmann_to_config', 'roots',
+    'rotate', 'sequence_reflection_product', 'sequences', 'shift', 'silting',
+    'silting_to_config', 'simple', 'simples_of_wide', 'sym_form', 'tau',
+    'tau_inv', 'torsion_window', 'translate', 'weyl', 'wide_subcategory',
+    'window_objects',
+]
+
+SIGNATURES = {
+    'DCollection': "(objects: 'tuple[DObj, ...]') -> None",
+    'DObj': "(rs: 'RootSystemData', root: 'int', degree: 'int') -> None",
+    'PeriodicConfig': "(seeds: 'DCollection') -> None",
+    'QuiverDescriptor':
+        "(family: 'str', rank: 'int', "
+        "arrows: 'tuple[tuple[int, int], ...]' = ()) -> None",
+    'RootSystemData': "(quiver: 'QuiverDescriptor')",
+    'WeylGroup': "(rs: 'RootSystemData')",
+    'WindowSpec':
+        "(lo: 'int', hi: 'int', plus_injectives: 'bool' = False, "
+        "minus_projectives: 'bool' = False) -> None",
+    'abs_length': "(rs: 'RootSystemData', w: 'WeylElt') -> 'int'",
+    'build_root_system': "(q: 'QuiverDescriptor') -> 'RootSystemData'",
+    'check_negative_mutation_invariance':
+        "(seq: 'ExcSeq', i: 'int', w: 'WindowSpec') -> 'bool'",
+    'class_of': "(x: 'DObj') -> 'DimVector'",
+    'collection': "(objs: 'Iterable[DObj]') -> 'DCollection'",
+    'complete_sequence': "(partial: 'Iterable[DObj]') -> 'ExcSeq'",
+    'config_to_riedtmann': "(col: 'DCollection') -> 'PeriodicConfig'",
+    'config_to_silting': "(col: 'DCollection') -> 'DCollection'",
+    'coxeter_element': "(rs: 'RootSystemData') -> 'WeylElt'",
+    'coxeter_transform':
+        "(rs: 'RootSystemData', d: 'DimVector', "
+        "inverse: 'bool' = False) -> 'DimVector'",
+    'enumerate_complete_sequences': "(rs: 'RootSystemData') -> 'list[ExcSeq]'",
+    'enumerate_configs':
+        "(rs: 'RootSystemData', w: 'WindowSpec') -> 'list[DCollection]'",
+    'enumerate_kind':
+        "(rs: 'RootSystemData', kind: 'str', m: 'int') -> 'list[DCollection]'",
+    'enumerate_m_nc': "(group: 'WeylGroup', m: 'int') -> 'list[NCTuple]'",
+    'enumerate_silting':
+        "(rs: 'RootSystemData', w: 'WindowSpec') -> 'list[DCollection]'",
+    'euler_form':
+        "(rs: 'RootSystemData', d: 'DimVector', e: 'DimVector') -> 'int'",
+    'ext_dim': "(x: 'DObj', y: 'DObj', i: 'int') -> 'int'",
+    'ext_projectives':
+        "(a_window: 'frozenset[DObj]', w: 'WindowSpec', "
+        "margin: 'int' = 2) -> 'frozenset[DObj]'",
+    'f_power': "(x: 'DObj', k: 'int') -> 'DObj'",
+    'f_translate': "(x: 'DObj') -> 'DObj'",
+    'f_translate_inv': "(x: 'DObj') -> 'DObj'",
+    'fuss_catalan': "(rs: 'RootSystemData', m: 'int') -> 'int'",
+    'generate_weyl': "(rs: 'RootSystemData') -> 'WeylGroup'",
+    'hom_dim': "(x: 'DObj', y: 'DObj') -> 'int'",
+    'inj':
+        "(rs: 'RootSystemData', vertex: 'int', degree: 'int' = 0) -> 'DObj'",
+    'is_combinatorial_configuration':
+        "(p: 'PeriodicConfig', probe_window: 'WindowSpec') -> 'bool'",
+    'is_exceptional': "(items: 'Iterable[DObj]') -> 'bool'",
+    'is_hom_leq0_config': "(col: 'DCollection') -> 'bool'",
+    'is_injective': "(x: 'DObj') -> 'bool'",
+    'is_m_cluster_tilting': "(col: 'DCollection', m: 'int') -> 'bool'",
+    'is_m_config': "(col: 'DCollection', m: 'int') -> 'bool'",
+    'is_partial_silting': "(col: 'DCollection') -> 'bool'",
+    'is_projective': "(x: 'DObj') -> 'bool'",
+    'is_silting': "(col: 'DCollection') -> 'bool'",
+    'make_periodic': "(seeds: 'DCollection') -> 'PeriodicConfig'",
+    'mu_rev': "(seq: 'ExcSeq') -> 'tuple[ExcSeq, tuple[MutationSign, ...]]'",
+    'mu_rev_inverse':
+        "(seq: 'ExcSeq') -> 'tuple[ExcSeq, tuple[MutationSign, ...]]'",
+    'mutate':
+        "(seq: 'ExcSeq', i: 'int', "
+        "direction: 'str' = 'right') -> 'tuple[ExcSeq, MutationSign]'",
+    'nu': "(x: 'DObj') -> 'DObj'",
+    'nu_inv': "(x: 'DObj') -> 'DObj'",
+    'obj':
+        "(rs: 'RootSystemData', dim: 'DimVector', "
+        "degree: 'int' = 0) -> 'DObj'",
+    'object_of_class':
+        "(rs: 'RootSystemData', coords: 'DimVector', "
+        "degree_hints: 'tuple[int, int]') -> 'DObj'",
+    'order_config': "(col: 'DCollection') -> 'ExcSeq'",
+    'order_silting': "(col: 'DCollection') -> 'ExcSeq'",
+    'phi': "(group: 'WeylGroup', parts: 'NCTuple') -> 'DCollection'",
+    'phi_inverse':
+        "(group: 'WeylGroup', col: 'DCollection', m: 'int') -> 'NCTuple'",
+    'proj':
+        "(rs: 'RootSystemData', vertex: 'int', degree: 'int' = 0) -> 'DObj'",
+    'reflect':
+        "(rs: 'RootSystemData', x: 'DimVector', "
+        "v: 'DimVector') -> 'DimVector'",
+    'reflection_factorizations':
+        "(group: 'WeylGroup', w: 'WeylElt', "
+        "first_only: 'bool' = False) -> 'list[tuple[int, ...]]'",
+    'reflection_matrix': "(rs: 'RootSystemData', root: 'int') -> 'WeylElt'",
+    'reflection_of_object': "(x: 'DObj') -> 'WeylElt'",
+    'riedtmann_to_config': "(p: 'PeriodicConfig') -> 'DCollection'",
+    'rotate': "(seq: 'ExcSeq') -> 'ExcSeq'",
+    'sequence_reflection_product': "(seq: 'Iterable[DObj]') -> 'WeylElt'",
+    'shift': "(x: 'DObj', k: 'int' = 1) -> 'DObj'",
+    'silting_to_config': "(col: 'DCollection') -> 'DCollection'",
+    'simple':
+        "(rs: 'RootSystemData', vertex: 'int', degree: 'int' = 0) -> 'DObj'",
+    'simples_of_wide':
+        "(objs: 'Iterable[DObj]', "
+        "expected_rank: 'int | None' = None) -> 'frozenset[DObj]'",
+    'sym_form':
+        "(rs: 'RootSystemData', d: 'DimVector', e: 'DimVector') -> 'int'",
+    'tau': "(x: 'DObj') -> 'DObj'",
+    'tau_inv': "(x: 'DObj') -> 'DObj'",
+    'torsion_window':
+        "(col: 'DCollection', w: 'WindowSpec') -> 'frozenset[DObj]'",
+    'translate': "(x: 'DObj', op: 'str', k: 'int' = 1) -> 'DObj'",
+    'wide_subcategory': "(chunk: 'Iterable[DObj]') -> 'frozenset[DObj]'",
+    'window_objects':
+        "(rs: 'RootSystemData', w: 'WindowSpec') -> 'list[DObj]'",
+}
+
+
+def _pinned(obj) -> bool:
+    """Functions, and classes other than enums and exceptions."""
+    return inspect.isfunction(obj) or (
+        inspect.isclass(obj) and not issubclass(obj, (Exception, enum.Enum)))
+
+
+def test_public_names_are_pinned():
+    assert sorted(exseq.__all__) == PUBLIC_NAMES
+
+
+def test_public_signatures_are_pinned():
+    found = {name: str(inspect.signature(getattr(exseq, name)))
+             for name in exseq.__all__ if _pinned(getattr(exseq, name))}
+    assert found == SIGNATURES

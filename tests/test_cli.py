@@ -214,6 +214,61 @@ def test_malformed_record_is_reported(capsys, tmp_path, command, record):
     assert "error" not in payload["records"][1]
 
 
+@pytest.mark.parametrize("command", sorted(RECORD_COMMANDS))
+@pytest.mark.parametrize("obj", [
+    {"dim": [True, False], "deg": False},
+    {"dim": [1, 0], "deg": 0.5},
+    {"dim": [1.0, 0], "deg": 0},
+    {"dim": [1, 0], "deg": "x"},
+], ids=["bools", "float-deg", "float-dim", "string-deg"])
+def test_non_integer_record_is_reported(capsys, tmp_path, command, obj):
+    infile = tmp_path / "in.json"
+    good = [{"dim": [1, 1], "deg": 0}, {"dim": [1, 0], "deg": 0}]
+    infile.write_text(json.dumps([[obj, {"dim": [1, 1], "deg": 0}], good]))
+    code, payload = run(capsys, *RECORD_COMMANDS[command], "--in", str(infile))
+    assert code == 1
+    assert payload["failures"] == 1
+    assert "is not of the form" in payload["records"][0]["error"]
+    assert "error" not in payload["records"][1]
+
+
+def test_non_integer_reflection_word_is_reported(capsys, tmp_path):
+    infile = tmp_path / "nc.json"
+    infile.write_text(json.dumps([
+        {"reflection_words": [[], [[1.0, 0], [0, 1]]]},
+        {"reflection_words": [[], [[1, 0], [0, 1]]]},
+    ]))
+    code, payload = run(capsys, "biject", "--type", "A2", "--m", "1",
+                        "--direction", "nc-to-config", "--in", str(infile))
+    assert code == 1
+    assert payload["failures"] == 1
+    assert "is not of the form" in payload["records"][0]["error"]
+    assert "error" not in payload["records"][1]
+
+
+@pytest.mark.parametrize("orientation", ["[[1.5,2]]", "[[true,2]]"])
+def test_non_integer_orientation_is_usage_error(capsys, orientation):
+    code = main(["enumerate", "--type", "A2", "--m", "1", "--kind", "m-config",
+                 "--orientation", orientation])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad orientation")
+
+
+@pytest.mark.parametrize("direction", ["config-to-nc", "nc-to-config"])
+def test_biject_negative_m_is_usage_error(capsys, tmp_path, direction):
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps([[{"dim": [1, 0], "deg": 0},
+                                   {"dim": [0, 1], "deg": 0}]]))
+    code = main(["biject", "--type", "A2", "--m", "-1", "--direction", direction,
+                 "--in", str(infile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: m must be non-negative"]
+
+
 def test_malformed_orientation_is_usage_error(capsys):
     code = main(["enumerate", "--type", "A2", "--m", "1", "--kind", "m-config",
                  "--orientation", "[1,2]"])

@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from exseq import (
     MutationSign, WindowSpec, build_root_system, collection, config_to_silting,
-    enumerate_kind, is_hom_leq0_config, is_m_cluster_tilting, is_m_config,
+    enumerate_configs, enumerate_kind, enumerate_silting, is_hom_leq0_config, is_m_cluster_tilting, is_m_config,
     is_partial_silting, is_silting, mu_rev, mu_rev_inverse, proj, shift,
     silting_to_config, simple,
 )
-from exseq.derived import window_objects
+from exseq.derived import nonzero_exts, window_objects
 from exseq.sequences import is_exceptional
 from exseq.silting import (
-    _M_KINDS, _cliques_of_size, _compatibility_graph, collection_from_list,
+    _M_KINDS, _cliques_of_size, _compatibility_graph, _topo_sort,
+    collection_from_list,
     collection_to_list, explain_not_config, explain_not_silting, order_config,
     order_silting,
 )
@@ -63,14 +64,14 @@ def test_all_five_a2_1_configs(a2):
     assert set(enumerate_kind(a2, "m-config", 1)) == expected
 
 
-def test_cycle_detector():
-    from exseq.silting import digraph_has_cycle
-    assert not digraph_has_cycle([[1], [2], []])
-    assert digraph_has_cycle([[1], [2], [0]])
-    assert digraph_has_cycle([[1], [0], []])
-    assert digraph_has_cycle([[], [1]])          # self loop
-    assert not digraph_has_cycle([[], [], []])
-    assert digraph_has_cycle([[1], [2, 3], [0], []])
+def test_topo_sort_cycle_and_tie_break(a3):
+    s1, s2, s3 = simple(a3, 1), simple(a3, 2), simple(a3, 3)
+    assert _topo_sort([s1, s2], lambda a, b: True) is None      # a 2-cycle
+    assert _topo_sort([s2, s1], lambda a, b: False) == [s1, s2]
+    # Only s3 -> s1: s2 and s3 are ready first and s2 has the lower root.
+    edge = lambda a, b: (a, b) == (s3, s1)
+    assert _topo_sort([s1, s2, s3], edge) == [s2, s3, s1]
+    assert _topo_sort([s1, s3], edge) == [s3, s1]
 
 
 def test_ext1_digraph_of_simples_is_acyclic(a3):
@@ -170,9 +171,12 @@ def test_enumerate_kind_validation(a2):
 
 
 def test_enumerate_in_explicit_window(a2):
-    from exseq import WindowSpec
-    found = enumerate_kind(a2, "silting-in-window", 1, window=WindowSpec(0, 0))
+    found = enumerate_silting(a2, WindowSpec(0, 0))
     assert len(found) == 2      # the two tilting modules of A2
+    assert set(found) == {collection([proj(a2, 1), simple(a2, 1)]),
+                          collection([proj(a2, 1), simple(a2, 2)])}
+    assert set(enumerate_configs(a2, WindowSpec(0, 1))) == \
+        set(enumerate_kind(a2, "m-config", 1))
 
 
 def test_ordering_helpers(a2):
@@ -278,24 +282,23 @@ def test_collection_validation(a2, a3):
 def test_collection_dedupes(a2):
     s1, p1 = simple(a2, 1), proj(a2, 1)
     col = collection([p1, s1, p1, s1, s1])
-    assert col.sorted() == (s1, p1)
+    assert col.objects == (s1, p1)
     assert col == collection([s1, p1])
     assert col.summands == frozenset({s1, p1})
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4)])
 def test_enumerated_collections_are_canonical(family, rank):
-    from exseq import QuiverDescriptor, WindowSpec, build_root_system
-    from exseq.silting import ENUMERATION_KINDS
+    from exseq import QuiverDescriptor, build_root_system
     rs = build_root_system(QuiverDescriptor.standard(family, rank))
     for m in (1, 2):
-        for kind in ENUMERATION_KINDS:
-            for c in enumerate_kind(rs, kind, m, window=WindowSpec(0, m)):
-                rebuilt = collection(reversed(c.sorted()))
+        for enumerate_in in (enumerate_silting, enumerate_configs):
+            for c in enumerate_in(rs, WindowSpec(0, m)):
+                rebuilt = collection(reversed(c.objects))
                 assert (rebuilt, hash(rebuilt), repr(rebuilt)) == \
-                    (c, hash(c), repr(c)), (kind, m)
+                    (c, hash(c), repr(c)), (enumerate_in.__name__, m)
                 assert isinstance(c.summands, frozenset)
-                assert c.summands == frozenset(c.sorted())
+                assert c.summands == frozenset(c.objects)
 
 
 @settings(max_examples=300, deadline=None)
@@ -351,3 +354,48 @@ def test_compatibility_graph_matches_pairwise_predicates(family, rank):
 def test_compatibility_graph_matches_pairwise_predicates_e(rank, seed):
     _assert_graphs_match_predicates(
         build_root_system(seeded_quiver("E", rank, seed)), (1,))
+
+
+def _rejection(a, b, forbidden):
+    """The message naming Ext^i(a, b) for the least nonzero i the rule
+    forbids, or None; Hom when that i is 0."""
+    bad = [i for i, _ in nonzero_exts(a, b) if forbidden(i)]
+    if not bad:
+        return None
+    i = min(bad)
+    return (f"Hom({a!r}, {b!r}) is nonzero" if i == 0
+            else f"Ext^{i}({a!r}, {b!r}) is nonzero")
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4)])
+def test_predicates_match_pairwise_oracle(family, rank):
+    from exseq import QuiverDescriptor
+    quivers = (admissible_quivers(family, rank) if family == "A"
+               else [QuiverDescriptor.standard(family, rank)])
+    rules = {"silting": (silting_compatible, lambda i: i >= 1),
+             "config": (config_compatible, lambda i: i <= 0)}
+    for q in quivers:
+        rs = build_root_system(q)
+        objs = window_objects(rs, WindowSpec(-1, 2))
+        compatible = {(rule, a, b): ok(a, b) for rule, (ok, _) in rules.items()
+                      for a in objs for b in objs}
+        rejection = {(rule, a, b): _rejection(a, b, forbidden)
+                     for rule, (_, forbidden) in rules.items()
+                     for a in objs for b in objs if a != b}
+
+        def expected(rule, col):
+            pairs = [(a, b) for a in col.objects for b in col.objects if a != b]
+            ok = all(compatible[rule, a, b] for a, b in pairs)
+            first = next((m for m in (rejection[rule, a, b] for a, b in pairs)
+                          if m is not None), None)
+            assert ok == (first is None), (q, rule, col)
+            return first
+
+        for k in (rs.n - 1, rs.n):
+            for sub in itertools.combinations(objs, k):
+                col = collection(sub)
+                silting = expected("silting", col)
+                assert is_partial_silting(col) == (silting is None), (q, col)
+                if k == rs.n:
+                    assert explain_not_silting(col) == silting, (q, col)
+                    assert explain_not_config(col) == expected("config", col), (q, col)

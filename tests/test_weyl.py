@@ -5,10 +5,10 @@ import pytest
 
 from exseq import (
     DObj, abs_length, collection, coxeter_element, enumerate_complete_sequences,
-    enumerate_kind, enumerate_m_nc, fuss_catalan, generate_weyl, mutate, phi,
-    phi_inverse, proj, reflection_factorizations, reflection_matrix,
-    reflection_of_object, sequence_reflection_product, shift, simple,
-    simples_of_wide, wide_subcategory,
+    enumerate_kind, enumerate_m_nc, fuss_catalan, generate_weyl, is_exceptional,
+    mutate, phi, phi_inverse, proj, reflection_factorizations,
+    reflection_matrix, reflection_of_object, sequence_reflection_product,
+    shift, simple, simples_of_wide, wide_subcategory,
 )
 from exseq.weyl import mat_identity, mat_mul, nc_from_dict, nc_to_dict
 
@@ -168,7 +168,6 @@ def test_wide_subcategory_completion_independent(a3):
     # The perpendicular description cannot depend on the chosen completion:
     # check against every completion, found by exhaustive search.
     from exseq.derived import ext_dim, hom_dim
-    from exseq.sequences import _extends
 
     def all_completions(rs, seq):
         if len(seq) == rs.n:
@@ -176,7 +175,7 @@ def test_wide_subcategory_completion_independent(a3):
             return
         for root in range(len(rs.positive_roots)):
             cand = DObj(rs, root, 0)
-            if _extends(cand, seq):
+            if is_exceptional(seq + (cand,)):
                 yield from all_completions(rs, seq + (cand,))
 
     for root in range(len(a3.positive_roots)):
@@ -249,7 +248,6 @@ def test_phi_bijection(family, rank, ms):
 def test_phi_word_independent(a3):
     # phi must not depend on which reduced word represents each part.
     from exseq.weyl import _factorization_words
-    from exseq.sequences import is_exceptional
     from exseq.silting import collection as make_collection
 
     group = generate_weyl(a3)
