@@ -14,9 +14,8 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, cycle
 from math import factorial
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .derived import DObj, WindowSpec, nu_inv, obj_to_dict
@@ -179,20 +178,27 @@ def _objects_chunks(objs: list[DObj], cliques: list[tuple[int, ...]]) -> Iterato
     one chunk per _BATCH collections; each clique lists indices into objs.
     Each object is encoded once: an indent-2 encoding at depth L is the
     depth-0 encoding with every newline followed by 2L more spaces, as JSON
-    strings hold no raw newline."""
+    strings hold no raw newline.  What surrounds an object depends only on
+    its position in its collection, so each position reads one table of
+    texts: the first opens the collection, the last closes it, and every
+    collection starts with a comma, which the first chunk drops."""
     if not cliques:
         yield "[]"
         return
     texts = ["\n      " + _dumps(obj_to_dict(x)).replace("\n", "\n      ")
              for x in objs]
-    # itemgetter of one index returns that item, not a 1-tuple.
-    join = ",".join if len(cliques[0]) > 1 else str
-    sep = "["
-    for lo in range(0, len(cliques), _BATCH):
-        yield sep + ",".join([
-            "\n    [" + join(itemgetter(*idxs)(texts)) + "\n    ]"
-            for idxs in cliques[lo:lo + _BATCH]])
-        sep = ","
+    n = len(cliques[0])
+    if n == 1:
+        tables = [[",\n    [" + t + "\n    ]" for t in texts]]
+    else:
+        tables = ([[",\n    [" + t for t in texts]]
+                  + [["," + t for t in texts]] * (n - 2)
+                  + [["," + t + "\n    ]" for t in texts]])
+    chunks = ("".join(map(list.__getitem__, cycle(tables),
+                          chain.from_iterable(cliques[lo:lo + _BATCH])))
+              for lo in range(0, len(cliques), _BATCH))
+    yield "[" + next(chunks)[1:]
+    yield from chunks
     yield "\n  ]"
 
 

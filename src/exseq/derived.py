@@ -294,9 +294,19 @@ class WindowSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "WindowSpec":
-        return WindowSpec(int(data["lo"]), int(data["hi"]),
-                          bool(data.get("plus_injectives", False)),
-                          bool(data.get("minus_projectives", False)))
+        """Read to_dict's form: lo and hi JSON integers, the flags, which
+        default to false, JSON booleans."""
+        try:
+            bounds = data["lo"], data["hi"]
+            flags = (data.get("plus_injectives", False),
+                     data.get("minus_projectives", False))
+            if not (all(type(b) is int for b in bounds)      # no bool or float
+                    and all(type(f) is bool for f in flags)):
+                raise TypeError
+        except (KeyError, TypeError, AttributeError):
+            raise ValueError(f"window record {data!r} is not of the form "
+                             '{"lo": a, "hi": b, ...}') from None
+        return WindowSpec(*bounds, *flags)
 
 
 def window_objects(rs: RootSystemData, w: WindowSpec) -> list[DObj]:

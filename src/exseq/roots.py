@@ -333,29 +333,34 @@ class RootSystemData:
     # -- construction helpers ------------------------------------------------
 
     def _close_roots(self) -> tuple[DimVector, ...]:
+        """The positive roots, closed from the simples under the simple
+        reflections that raise height: every non-simple positive root is
+        one such step above a lower one.  Each root keeps its pairing vector
+        (sym_matrix times the root); s_i subtracts coeff times column i of
+        sym_matrix from it, which is row i as the form is symmetric."""
         n = self.n
+        sym = self.sym_matrix
         simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        roots: set[DimVector] = set(simples)
+        pairings = {s: sym[i] for i, s in enumerate(simples)}
         frontier = list(simples)
         while frontier:
             v = frontier.pop()
+            pairing = pairings[v]
             for i in range(n):
-                pairing = sum(self.sym_matrix[i][j] * v[j] for j in range(n))
-                coeff, rem = divmod(pairing, self.symmetrizers[i])
+                coeff, rem = divmod(pairing[i], self.symmetrizers[i])
                 if rem:
                     raise QuiverError("non-crystallographic reflection coefficient")
-                w = list(v)
-                w[i] -= coeff
-                wt = tuple(w)
-                if wt not in roots:
-                    roots.add(wt)
-                    frontier.append(wt)
-        positives = [r for r in roots if all(x >= 0 for x in r)]
+                if coeff < 0:
+                    w = list(v)
+                    w[i] -= coeff
+                    wt = tuple(w)
+                    if wt not in pairings:
+                        pairings[wt] = tuple(p - coeff * c
+                                             for p, c in zip(pairing, sym[i]))
+                        frontier.append(wt)
         simple_set = set(simples)
-        rest = sorted(
-            (r for r in positives if r not in simple_set),
-            key=lambda r: (sum(r), r),
-        )
+        rest = sorted((r for r in pairings if r not in simple_set),
+                      key=lambda r: (sum(r), r))
         return tuple(simples) + tuple(rest)
 
     def _exponents(self) -> tuple[int, ...]:

@@ -156,11 +156,32 @@ def is_m_config(col: DCollection, m: int) -> bool:
 
 def _cliques_of_size(count: int, neighbours: list[int], k: int) -> list[tuple[int, ...]]:
     """All k-cliques of the graph on vertices 0..count-1 whose neighbourhoods
-    are the bitmasks `neighbours`, vertices ascending, in lexicographic order."""
+    are the bitmasks `neighbours`, vertices ascending, in lexicographic order.
+
+    A depth-first search over candidate masks: the vertices after the last
+    one chosen that are adjacent to every chosen vertex.  Two vertices from
+    the end the clique is completed by the 2-cliques of its candidate mask.
+    These masks repeat heavily (the link of a face of a generalized cluster
+    complex is again one, Fomin-Reading 2005), so each mask's 2-cliques are
+    listed once and shared.  For k <= 2 no tail is read."""
     out: list[tuple[int, ...]] = []
+    tails: dict[int, list[tuple[int, int]]] = {}
+
+    def pairs(mask: int) -> list[tuple[int, int]]:
+        found = tails[mask] = []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            a = low.bit_length() - 1
+            rest = mask & neighbours[a]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                found.append((a, low.bit_length() - 1))
+        return found
 
     def grow(clique: tuple[int, ...], cands: int) -> None:
-        need = k - len(clique)
+        need = k - len(clique)              # vertices still to choose
         if need == 0:
             out.append(clique)
             return
@@ -168,7 +189,16 @@ def _cliques_of_size(count: int, neighbours: list[int], k: int) -> list[tuple[in
             low = cands & -cands
             cands ^= low
             v = low.bit_length() - 1
-            grow(clique + (v,), cands & neighbours[v])
+            child = cands & neighbours[v]
+            if child.bit_count() < need - 1:
+                continue
+            if need == 3:
+                tail = tails.get(child)
+                if tail is None:
+                    tail = pairs(child)
+                out.extend(map((clique + (v,)).__add__, tail))
+            else:
+                grow(clique + (v,), child)
 
     grow((), (1 << count) - 1)
     return out

@@ -2,14 +2,16 @@
 
 Hom and Ext^1 are computed from explicit matrix representations by exact
 linear algebra over the rationals, the library's Hom table is compared with
-the Serre-duality recursion it once used, and the enumeration graph with
-the pairwise Ext predicates it once called.  Reflection length comes from
-breadth-first search in the Cayley graph, and Fac-torsion membership from
-checking that the joint image of all homomorphisms covers the target (type
-A).  The periodic-configuration checks are the bounded loops over F-powers
-f_power(x, k), |k| up to a degree reach, against which the library's
-orbit walk is compared.  It also lists every admissible numbering of a
-Dynkin diagram, the input of the orientation sweeps.
+the Serre-duality recursion it once used, the enumeration graph with the
+pairwise Ext predicates it once called, and its clique search with the
+plain depth-first search.  The positive roots are compared with the
+closure of the simples under all simple reflections.  Reflection length
+comes from breadth-first search in the Cayley graph, and Fac-torsion
+membership from checking that the joint image of all homomorphisms covers
+the target (type A).  The periodic-configuration checks are the bounded
+loops over F-powers f_power(x, k), |k| up to a degree reach, against which
+the library's orbit walk is compared.  It also lists every admissible
+numbering of a Dynkin diagram, the input of the orientation sweeps.
 """
 from __future__ import annotations
 
@@ -210,6 +212,54 @@ def config_compatible(a: DObj, b: DObj) -> bool:
     if a == b:
         return all(i >= 0 for i, _ in nonzero_exts(a, a))
     return all(i >= 1 for i, _ in nonzero_exts(a, b) + nonzero_exts(b, a))
+
+
+def lex_cliques(count: int, neighbours: list[int], k: int) -> list[tuple[int, ...]]:
+    """All k-cliques of the graph on vertices 0..count-1 whose neighbourhoods
+    are the bitmasks `neighbours`, in lexicographic order: the plain
+    bitmask depth-first search, one call per search node."""
+    out: list[tuple[int, ...]] = []
+
+    def grow(clique: tuple[int, ...], cands: int) -> None:
+        need = k - len(clique)
+        if need == 0:
+            out.append(clique)
+            return
+        while cands.bit_count() >= need:
+            low = cands & -cands
+            cands ^= low
+            v = low.bit_length() - 1
+            grow(clique + (v,), cands & neighbours[v])
+
+    grow((), (1 << count) - 1)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Positive roots.
+# ---------------------------------------------------------------------------
+
+def close_roots_pm(rs: RootSystemData) -> tuple[tuple[int, ...], ...]:
+    """The positive roots of rs's Cartan data, by closing the simples under
+    every simple reflection, positive and negative roots alike, re-summing
+    each pairing; the simples first, then the rest by (height, vector)."""
+    n = rs.n
+    simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots = set(simples)
+    frontier = list(simples)
+    while frontier:
+        v = frontier.pop()
+        for i in range(n):
+            pairing = sum(rs.sym_matrix[i][j] * v[j] for j in range(n))
+            coeff, rem = divmod(pairing, rs.symmetrizers[i])
+            assert rem == 0, "non-crystallographic reflection coefficient"
+            w = tuple(c - coeff * (j == i) for j, c in enumerate(v))
+            if w not in roots:
+                roots.add(w)
+                frontier.append(w)
+    rest = sorted((r for r in roots if min(r) >= 0 and r not in simples),
+                  key=lambda r: (sum(r), r))
+    return tuple(simples) + tuple(rest)
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,8 @@ RAW_LAYOUT_CASES = [
     ("D4", 2, "m-config-minus", None),
     ("E6", 1, "m-config", [[1, 2], [1, 3], [1, 4], [2, 5], [3, 6]]),
     ("A4", 2, "silting-deg1-window", [[1, 3], [2, 3], [2, 4]]),
+    ("A1", 3, "m-cluster-tilting", None),    # one summand per collection
+    ("A2", 3, "m-config", None),             # two: no middle position
 ]
 STREAM_CASE = RAW_LAYOUT_CASES[2]     # about 0.7 MB of JSON
 
@@ -379,8 +381,10 @@ def enumerate_case(qtype, m, kind, arrows):
 
 def assert_same_text(name, text, expected):
     # Report the first differing line: pytest's own diff of two texts this
-    # large takes minutes.
-    assert text == expected, next(
+    # large takes minutes, and it computes one for any failing `assert a == b`
+    # even when a message is given, so the comparison is made first.
+    same = text == expected
+    assert same, next(
         (f"{name} line {i}: {a!r} != {b!r}" for i, (a, b) in enumerate(
             zip(text.splitlines(), expected.splitlines()), 1) if a != b),
         f"{name} differs in length")

@@ -181,6 +181,27 @@ def test_window_membership(a2):
         WindowSpec(2, 1)
 
 
+def test_window_from_dict_defaults_flags():
+    assert WindowSpec.from_dict({"lo": -1, "hi": 2}) == WindowSpec(-1, 2)
+
+
+@pytest.mark.parametrize("data", [
+    {"lo": 0.5, "hi": True},
+    {"lo": 0, "hi": 1.0},
+    {"lo": True, "hi": 1},
+    {"lo": "0", "hi": 1},
+    {"lo": 0, "hi": 1, "plus_injectives": 1},
+    {"lo": 0, "hi": 1, "minus_projectives": "false"},
+    {"lo": 0, "hi": 1, "plus_injectives": None},
+    {"hi": 1},
+    [0, 1],
+    None,
+])
+def test_window_from_dict_rejects_non_json_types(data):
+    with pytest.raises(ValueError, match="window record"):
+        WindowSpec.from_dict(data)
+
+
 def test_window_objects_count(a2):
     assert len(window_objects(a2, WindowSpec(0, 1))) == 6
     assert len(window_objects(a2, WindowSpec(1, 1, plus_injectives=True))) == 5

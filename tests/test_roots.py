@@ -10,7 +10,9 @@ from exseq import (
     euler_form, fuss_catalan, reflect, sym_form,
 )
 
-from oracle import admissible_quivers, seeded_quiver, serre_hom_table
+from oracle import (
+    admissible_quivers, close_roots_pm, seeded_quiver, serre_hom_table,
+)
 
 
 def test_a2_data(a2):
@@ -39,6 +41,16 @@ def test_b2_data(b2):
     assert b2.coxeter_number == 4
     assert b2.exponents == (1, 3)
     assert b2.euler_matrix is None
+
+
+@pytest.mark.parametrize("family,rank", [
+    *(("A", r) for r in range(1, 9)), *(("D", r) for r in range(4, 9)),
+    ("E", 6), ("E", 7), ("E", 8), *(("B", r) for r in range(2, 6)),
+    *(("C", r) for r in range(2, 6)), ("F", 4), ("G", 2),
+])
+def test_positive_roots_match_full_closure(family, rank):
+    rs = build_root_system(QuiverDescriptor.standard(family, rank))
+    assert rs.positive_roots == close_roots_pm(rs)
 
 
 @pytest.mark.parametrize("family,rank,h,exps", [

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exseq import (
-    MutationSign, WindowSpec, build_root_system, collection, config_to_silting,
-    enumerate_configs, enumerate_kind, enumerate_silting, is_hom_leq0_config,
-    is_m_cluster_tilting, is_m_config, is_partial_silting, is_silting, mu_rev,
-    mu_rev_inverse, proj, shift, silting_to_config, simple,
+    MutationSign, QuiverDescriptor, WindowSpec, build_root_system, collection,
+    config_to_silting, enumerate_configs, enumerate_kind, enumerate_silting,
+    is_hom_leq0_config, is_m_cluster_tilting, is_m_config, is_partial_silting,
+    is_silting, mu_rev, mu_rev_inverse, proj, shift, silting_to_config, simple,
 )
 from exseq.derived import nonzero_exts, window_objects
 from exseq.sequences import is_exceptional
@@ -19,7 +19,8 @@ from exseq.silting import (
 )
 
 from oracle import (
-    admissible_quivers, config_compatible, seeded_quiver, silting_compatible,
+    admissible_quivers, config_compatible, lex_cliques, seeded_quiver,
+    silting_compatible,
 )
 
 
@@ -303,8 +304,8 @@ def test_enumerated_collections_are_canonical(family, rank):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_cliques_match_brute_force(data):
-    count = data.draw(st.integers(0, 14))
-    k = data.draw(st.integers(1, 5))
+    count = data.draw(st.integers(0, 16))
+    k = data.draw(st.integers(0, 6))
     density = data.draw(st.integers(0, 10))
     pairs = list(itertools.combinations(range(count), 2))
     draws = data.draw(st.lists(st.integers(0, 9), min_size=len(pairs),
@@ -317,6 +318,22 @@ def test_cliques_match_brute_force(data):
     expected = [c for c in itertools.combinations(range(count), k)
                 if all(p in edges for p in itertools.combinations(c, 2))]
     assert _cliques_of_size(count, neighbours, k) == expected
+
+
+@pytest.mark.parametrize("family,rank,ms,every_orientation", [
+    ("A", 3, (1, 2), True), ("A", 4, (1, 2), True), ("D", 4, (1, 2), True),
+    ("E", 6, (1,), False), ("E", 7, (1,), False),
+])
+def test_cliques_match_plain_search(family, rank, ms, every_orientation):
+    quivers = (admissible_quivers(family, rank) if every_orientation
+               else [QuiverDescriptor.standard(family, rank)])
+    for q in quivers:
+        rs = build_root_system(q)
+        for m in ms:
+            for kind, (make_window, rule) in _M_KINDS.items():
+                objs, neighbours = _compatibility_graph(rs, make_window(m), rule)
+                assert _cliques_of_size(len(objs), neighbours, rank) == lex_cliques(
+                    len(objs), neighbours, rank), (q, kind, m)
 
 
 GRAPH_WINDOWS = (WindowSpec(-1, 2), WindowSpec(0, 1, minus_projectives=True),
