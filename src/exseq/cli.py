@@ -22,7 +22,7 @@ from .derived import DObj, WindowSpec, nu_inv, obj_to_dict
 from .riedtmann import config_to_riedtmann, riedtmann_to_config, torsion_window
 from .roots import QuiverDescriptor, QuiverError, build_root_system, fuss_catalan
 from .sequences import (
-    MutationSign, enumerate_complete_sequences, mu_rev, mu_rev_inverse_steps,
+    MutationError, MutationSign, _complete_sequences, mu_rev, mu_rev_inverse_steps,
     mu_rev_steps, mutate,
 )
 from .silting import (
@@ -305,6 +305,50 @@ def cmd_biject(args) -> int:
     return 1 if failures else 0
 
 
+# Raised while checking one input that verify generated itself, these are
+# internal failures: the check fails with that input as counterexample.
+_CHECK_ERRORS = (MutationError, ValueError)
+
+
+def _holds(law, *args) -> bool:
+    """Whether law(*args) is true; a _CHECK_ERRORS exception counts as false."""
+    try:
+        return law(*args)
+    except _CHECK_ERRORS:
+        return False
+
+
+def _round_trip(inputs, forward, back) -> tuple[set, object]:
+    """Apply forward once to each input.  Returns the set of images and the
+    first input, in order, that back does not recover, or None.  An input
+    on which forward raises is a failure and has no image."""
+    image, bad = set(), None
+    for x in inputs:
+        try:
+            y = forward(x)
+        except _CHECK_ERRORS:
+            y = None
+        else:
+            image.add(y)
+        if bad is None and (y is None or not _holds(lambda: back(y) == x)):
+            bad = x
+    return image, bad
+
+
+def _signs_ok(col) -> bool:
+    return all(sign is not MutationSign.NONNEGATIVE
+               for _, sign, _ in mu_rev_steps(order_silting(col)))
+
+
+def _sequence_laws(seq) -> bool:
+    """mu_rev^2 = nu^{-1} and mutating right then left at each position is
+    the identity."""
+    twice, _ = mu_rev(mu_rev(seq)[0])
+    return (twice == tuple(nu_inv(x) for x in seq)
+            and all(mutate(mutate(seq, i, "right")[0], i, "left")[0] == seq
+                    for i in range(1, len(seq))))
+
+
 def _verify_checks(rs, group, m: int) -> tuple[dict, list[CheckResult]]:
     checks: list[CheckResult] = []
     counts: dict = {}
@@ -312,6 +356,11 @@ def _verify_checks(rs, group, m: int) -> tuple[dict, list[CheckResult]]:
     def check(name, expected, actual, counterexample=None):
         checks.append(CheckResult(name, expected, actual, expected == actual,
                                   counterexample))
+
+    def check_none(name, bad, encode):
+        # Passes when no input is bad; else shows the bad one, encoded.
+        shown = None if bad is None else encode(bad)
+        check(name, None, shown, shown)
 
     expected = fuss_catalan(rs, m)
     tilting = enumerate_kind(rs, "m-cluster-tilting", m)
@@ -334,53 +383,32 @@ def _verify_checks(rs, group, m: int) -> tuple[dict, list[CheckResult]]:
     check("count silting in degree window 1..m", positive, len(shifted))
     check("count m-config in minus window", positive, len(minus))
 
-    bad = next((c for c in tilting
-                if config_to_silting(silting_to_config(c)) != c), None)
-    check("silting/config round trip", None,
-          None if bad is None else collection_to_list(bad),
-          None if bad is None else collection_to_list(bad))
-    image = {silting_to_config(c) for c in tilting}
+    image, bad = _round_trip(tilting, silting_to_config, config_to_silting)
+    check_none("silting/config round trip", bad, collection_to_list)
     check("silting image is the m-config set", True, image == set(configs))
 
-    bad_nc = next((t for t in ncs
-                   if phi_inverse(group, phi(group, t), m) != t), None)
-    check("phi round trip", None,
-          None if bad_nc is None else nc_to_dict(group, bad_nc),
-          None if bad_nc is None else nc_to_dict(group, bad_nc))
-    phi_image = {phi(group, t) for t in ncs}
-    check("phi image is the m-config set", True, phi_image == set(configs))
+    image, bad = _round_trip(ncs, lambda t: phi(group, t),
+                             lambda y: phi_inverse(group, y, m))
+    check_none("phi round trip", bad, lambda t: nc_to_dict(group, t))
+    check("phi image is the m-config set", True, image == set(configs))
 
-    sign_violation = None
-    for col in tilting:
-        for _, sign, _ in mu_rev_steps(order_silting(col)):
-            if sign is MutationSign.NONNEGATIVE:
-                sign_violation = collection_to_list(col)
-                break
-        if sign_violation:
-            break
-    check("silting-to-config signs negative or orthogonal", None,
-          sign_violation, sign_violation)
+    bad = next((c for c in tilting if not _holds(_signs_ok, c)), None)
+    check_none("silting-to-config signs negative or orthogonal", bad,
+               collection_to_list)
 
-    sequences = enumerate_complete_sequences(rs)
-    counts["complete-exceptional-sequences"] = len(sequences)
+    # The sequences are checked as the search finds them, never all held;
+    # after the first failure they are only counted.
+    total, bad = 0, None
+    for seq in _complete_sequences(rs):
+        total += 1
+        if bad is None and not _holds(_sequence_laws, seq):
+            bad = seq
+    counts["complete-exceptional-sequences"] = total
     # Obaid-Nauman-Al-Shammakh-Fakieh-Ringel: n! h^n / |W| complete sequences.
     check("count complete exceptional sequences",
-          factorial(rs.n) * rs.coxeter_number ** rs.n // rs.weyl_order(),
-          len(sequences))
-    bad_seq = None
-    for seq in sequences:
-        twice, _ = mu_rev(mu_rev(seq)[0])
-        if twice != tuple(nu_inv(x) for x in seq):
-            bad_seq = [obj_to_dict(x) for x in seq]
-            break
-        for i in range(1, rs.n):
-            back, _ = mutate(mutate(seq, i, "right")[0], i, "left")
-            if back != seq:
-                bad_seq = [obj_to_dict(x) for x in seq]
-                break
-        if bad_seq:
-            break
-    check("mu_rev^2 = nu^{-1} and inverse law", None, bad_seq, bad_seq)
+          factorial(rs.n) * rs.coxeter_number ** rs.n // rs.weyl_order(), total)
+    check_none("mu_rev^2 = nu^{-1} and inverse law", bad,
+               lambda seq: [obj_to_dict(x) for x in seq])
     return counts, checks
 
 

@@ -217,23 +217,26 @@ def _complete_from(rs: RootSystemData, seq: ExcSeq) -> ExcSeq | None:
     return None
 
 
+def _complete_sequences(rs: RootSystemData) -> Iterator[ExcSeq]:
+    """Each complete exceptional sequence of modules, by depth-first search
+    over the roots in stored order, yielded as soon as it is found."""
+    modules = [DObj(rs, root, 0) for root in range(len(rs.positive_roots))]
+
+    def extend(seq: ExcSeq) -> Iterator[ExcSeq]:
+        if len(seq) == rs.n:
+            yield seq
+            return
+        for cand in modules:
+            if not any(nonzero_exts(cand, e) for e in seq):
+                yield from extend(seq + (cand,))
+
+    return extend(())
+
+
 def enumerate_complete_sequences(rs: RootSystemData) -> list[ExcSeq]:
     """All complete exceptional sequences of modules, by depth-first search.
 
     Independent of the mutation machinery; used as the counting oracle
     (A2 gives 3, A3 gives 16, D4 gives 162).
     """
-    out: list[ExcSeq] = []
-    roots = range(len(rs.positive_roots))
-
-    def extend(seq: ExcSeq) -> None:
-        if len(seq) == rs.n:
-            out.append(seq)
-            return
-        for root in roots:
-            cand = DObj(rs, root, 0)
-            if not any(nonzero_exts(cand, e) for e in seq):
-                extend(seq + (cand,))
-
-    extend(())
-    return out
+    return list(_complete_sequences(rs))

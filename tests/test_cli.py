@@ -10,9 +10,15 @@ from pathlib import Path
 import pytest
 
 import exseq
-from exseq import QuiverDescriptor, build_root_system, enumerate_kind
+from exseq import (
+    MutationError, QuiverDescriptor, build_root_system, enumerate_complete_sequences,
+    enumerate_kind, enumerate_m_nc, generate_weyl,
+)
+from exseq import cli
 from exseq.cli import _objects_chunks, main
+from exseq.derived import obj_to_dict
 from exseq.silting import collection_to_list
+from exseq.weyl import nc_to_dict
 
 
 def run(capsys, *argv):
@@ -46,6 +52,15 @@ def test_enumerate_rejects_weyl_only_family(capsys):
 def test_enumerate_rejects_bad_m(capsys):
     code = main(["enumerate", "--type", "A2", "--m", "0", "--kind", "m-config"])
     assert code == 2
+    assert capsys.readouterr().err == "error: m must be at least 1\n"
+
+
+def test_verify_rejects_m_zero(capsys):
+    code = main(["verify", "--type", "A3", "--m", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: m must be at least 1\n"
+    assert captured.out == ""
 
 
 def test_bad_type_is_usage_error():
@@ -317,6 +332,13 @@ GOLDEN_OUTPUTS = [
      "d500effef3fc0d9b19b2a92f8f488a4a5ff3d6d4daf7dc773954a38b37e827b2"),
     (("nc", "--type", "B2", "--m", "2"),
      "c0433686ef7c9af26569374918bb27194655167a0abc5cc3ea3ece1769209e63"),
+    (("verify", "--type", "A4", "--m", "1"),
+     "220abdffd36999d3ccd814ebdaa5e5089a577a582a9669ccb580236fe70f22d6"),
+    (("verify", "--type", "D4", "--m", "2"),
+     "ce0f30a006f30a0d14525fadf495ca336f409d803bf776fe0736fd4023d39d6e"),
+    (("verify", "--type", "D5", "--m", "1",
+      "--orientation", "[[1,5],[2,3],[3,4],[3,5]]"),
+     "bdf9f5ca40977a3134e9223480251776dc4664e48a78910f42bd4f179c05ab80"),
 ]
 
 
@@ -342,6 +364,147 @@ def test_verify_checks_complete_sequence_count(capsys, qtype, count):
                  if c["name"] == "count complete exceptional sequences")
     assert check == {"name": "count complete exceptional sequences",
                      "expected": count, "actual": count, "passed": True}
+
+
+def test_nc_m_zero_is_the_coxeter_element(capsys):
+    # C_0 = 1: the one 0-noncrossing partition is (c), c = s_1 s_2 s_3.
+    code, payload = run(capsys, "nc", "--type", "A3", "--m", "0")
+    assert code == 0
+    assert payload["counts"]["m-noncrossing-partitions"] == 1
+    assert payload["objects"] == [
+        {"reflection_words": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}]
+
+
+class CallLog:
+    """Wraps cli.<name>, counting calls; `fault(k, *args)` may replace the
+    result of the k-th call (0-based) or raise."""
+
+    def __init__(self, monkeypatch, name, fault=None):
+        self.inner = getattr(cli, name)
+        self.calls = 0
+        self.fault = fault
+        monkeypatch.setattr(cli, name, self)
+
+    def __call__(self, *args):
+        k, self.calls = self.calls, self.calls + 1
+        out = self.inner(*args)
+        return self.fault(k, out) if self.fault else out
+
+
+def raise_at(k, exc=MutationError):
+    def fault(call, out):
+        if call == k:
+            raise exc("injected")
+        return out
+    return fault
+
+
+def wrong_at(k):
+    return lambda call, out: () if call == k else out
+
+
+A3 = build_root_system(QuiverDescriptor.standard("A", 3))
+A3_GROUP = generate_weyl(A3)
+A3_NCS = enumerate_m_nc(A3_GROUP, 1)
+A3_TILTING = enumerate_kind(A3, "m-cluster-tilting", 1)
+A3_SEQUENCES = enumerate_complete_sequences(A3)
+
+
+def verify_a3(capsys):
+    """Run verify on standard A3/1; the exit code and the checks by name.
+    The run must not raise and must write nothing to stderr."""
+    code, payload = run(capsys, "verify", "--type", "A3", "--m", "1")
+    assert capsys.readouterr().err == ""
+    return code, {c["name"]: c for c in payload["checks"]}
+
+
+def failed_only(checks, *names):
+    assert sorted(n for n, c in checks.items() if not c["passed"]) == sorted(names)
+
+
+@pytest.mark.parametrize("k", [0, 5, 13])
+def test_verify_phi_round_trip_reports_kth_partition(capsys, monkeypatch, k):
+    forward = CallLog(monkeypatch, "phi")
+    CallLog(monkeypatch, "phi_inverse", wrong_at(k))
+    code, checks = verify_a3(capsys)
+    assert code == 1
+    failed_only(checks, "phi round trip")
+    assert checks["phi round trip"]["counterexample"] == nc_to_dict(A3_GROUP, A3_NCS[k])
+    assert forward.calls == len(A3_NCS)       # phi once per partition
+
+
+@pytest.mark.parametrize("k", [0, 5, 13])
+def test_verify_silting_round_trip_reports_kth_object(capsys, monkeypatch, k):
+    forward = CallLog(monkeypatch, "silting_to_config")
+    CallLog(monkeypatch, "config_to_silting", wrong_at(k))
+    code, checks = verify_a3(capsys)
+    assert code == 1
+    failed_only(checks, "silting/config round trip")
+    assert (checks["silting/config round trip"]["counterexample"]
+            == collection_to_list(A3_TILTING[k]))
+    assert forward.calls == len(A3_TILTING)
+
+
+# A fault injected into the third call of each function, the check it must
+# fail, any other check that fails with it, and the input of that call.
+INJECTED = [
+    ("phi", "phi round trip", ["phi image is the m-config set"],
+     nc_to_dict(A3_GROUP, A3_NCS[2])),
+    ("phi_inverse", "phi round trip", [], nc_to_dict(A3_GROUP, A3_NCS[2])),
+    ("silting_to_config", "silting/config round trip",
+     ["silting image is the m-config set"], collection_to_list(A3_TILTING[2])),
+    ("config_to_silting", "silting/config round trip", [],
+     collection_to_list(A3_TILTING[2])),
+    ("order_silting", "silting-to-config signs negative or orthogonal", [],
+     collection_to_list(A3_TILTING[2])),
+    # mu_rev runs twice per sequence: the third call is the second sequence's.
+    ("mu_rev", "mu_rev^2 = nu^{-1} and inverse law", [],
+     [obj_to_dict(x) for x in A3_SEQUENCES[1]]),
+]
+
+
+@pytest.mark.parametrize("exc", [MutationError, ValueError])
+@pytest.mark.parametrize("name,check,also,counterexample", INJECTED,
+                         ids=[row[0] for row in INJECTED])
+def test_verify_internal_error_is_a_failed_check(capsys, monkeypatch, exc,
+                                                 name, check, also, counterexample):
+    CallLog(monkeypatch, name, raise_at(2, exc))
+    code, checks = verify_a3(capsys)
+    assert code == 1
+    failed_only(checks, check, *also)
+    assert checks[check]["counterexample"] == counterexample
+
+
+def test_verify_counts_every_sequence_after_a_law_fails(capsys, monkeypatch):
+    laws = CallLog(monkeypatch, "mu_rev", raise_at(0))
+    code, checks = verify_a3(capsys)
+    assert code == 1
+    failed_only(checks, "mu_rev^2 = nu^{-1} and inverse law")
+    # 3! 4^3 / 4! = 16, checked although no law was checked after the first.
+    assert checks["count complete exceptional sequences"]["actual"] == 16
+    assert laws.calls == 1
+
+
+def test_verify_checks_each_sequence_as_it_is_found(capsys, monkeypatch):
+    found = []
+
+    def search(rs):
+        for seq in cli_complete_sequences(rs):
+            found.append(seq)
+            yield seq
+
+    def laws(seq):
+        assert seq == found[-1]     # checked before the next one is found
+        return cli_laws(seq)
+
+    cli_complete_sequences, cli_laws = cli._complete_sequences, cli._sequence_laws
+    monkeypatch.setattr(cli, "_complete_sequences", search)
+    monkeypatch.setattr(cli, "_sequence_laws", laws)
+    code, _ = verify_a3(capsys)
+    assert code == 0
+    # Equal roots: verify builds its own root system, so the objects differ.
+    assert ([[x.root for x in seq] for seq in found]
+            == [[x.root for x in seq] for seq in A3_SEQUENCES])
 
 
 RAW_LAYOUT_CASES = [

@@ -4,11 +4,15 @@ import random
 import pytest
 
 from exseq import (
-    DObj, MutationSign, class_of, complete_sequence,
-    enumerate_complete_sequences, ext_dim, is_exceptional, mu_rev,
-    mu_rev_inverse, mutate, nu_inv, proj, reflect, rotate, shift, simple,
+    DObj, MutationSign, QuiverDescriptor, build_root_system, class_of,
+    complete_sequence, enumerate_complete_sequences, ext_dim, is_exceptional,
+    mu_rev, mu_rev_inverse, mutate, nu_inv, proj, reflect, rotate, shift, simple,
 )
-from exseq.sequences import mu_rev_order, mu_rev_order_alt, mu_rev_steps
+from exseq import sequences
+from exseq.derived import nonzero_exts
+from exseq.sequences import (
+    _complete_sequences, mu_rev_order, mu_rev_order_alt, mu_rev_steps,
+)
 
 
 def test_is_exceptional_a2(a2):
@@ -199,6 +203,32 @@ def test_complete_sequence_counts(a1, a2, a3, d4):
     assert len(enumerate_complete_sequences(a2)) == 3
     assert len(enumerate_complete_sequences(a3)) == 16
     assert len(enumerate_complete_sequences(d4)) == 162
+
+
+@pytest.mark.parametrize("arrows", [((1, 2), (2, 3)), ((1, 2), (1, 3)), ((1, 3), (2, 3))])
+def test_complete_sequence_list_is_the_search_in_order(arrows):
+    rs = build_root_system(QuiverDescriptor("A", 3, arrows))
+    seqs = enumerate_complete_sequences(rs)
+    assert list(_complete_sequences(rs)) == seqs
+    # Depth-first over roots in stored order: lexicographic in root indices.
+    keys = [tuple(x.root for x in seq) for seq in seqs]
+    assert keys == sorted(set(keys)) and len(keys) == 16
+
+
+def test_complete_sequence_search_yields_before_it_finishes(monkeypatch, d4):
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return nonzero_exts(x, y)
+
+    monkeypatch.setattr(sequences, "nonzero_exts", counted)
+    search = _complete_sequences(d4)
+    first = next(search)
+    to_first = len(calls)
+    assert sum(1 for _ in search) == 161
+    assert first == enumerate_complete_sequences(d4)[0]
+    assert 0 < to_first < len(calls) / 100
 
 
 def test_a2_sequences_by_hand(a2):
