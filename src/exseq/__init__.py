@@ -15,9 +15,8 @@ from .derived import (
     window_objects,
 )
 from .sequences import (
-    ExcSeq, MutationError, MutationSign, complete_sequence,
-    enumerate_complete_sequences, is_exceptional, mu_rev, mu_rev_inverse,
-    mutate, rotate,
+    ExcSeq, MutationError, MutationSign, enumerate_complete_sequences,
+    is_exceptional, mu_rev, mu_rev_inverse, mutate, rotate,
 )
 from .silting import (
     DCollection, collection, config_to_silting, enumerate_configs,
@@ -29,7 +28,6 @@ from .weyl import (
     NCTuple, WeylGroup, abs_length, coxeter_element, enumerate_m_nc,
     generate_weyl, phi, phi_inverse, reflection_factorizations,
     reflection_matrix, reflection_of_object, sequence_reflection_product,
-    simples_of_wide, wide_subcategory,
 )
 from .riedtmann import (
     PeriodicConfig, check_negative_mutation_invariance, config_to_riedtmann,

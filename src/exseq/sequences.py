@@ -181,41 +181,8 @@ def rotate(seq: ExcSeq) -> ExcSeq:
 
 
 # ---------------------------------------------------------------------------
-# Completion and exhaustive enumeration at module level.
+# Exhaustive enumeration at module level.
 # ---------------------------------------------------------------------------
-
-def complete_sequence(partial: Iterable[DObj]) -> ExcSeq:
-    """Extend a module-level exceptional sequence to a complete one by
-    appending, deterministically in the stored root order.
-
-    Objects in nonzero degrees are first normalized to degree 0; existence
-    of a completion is guaranteed, so failure raises MutationError.
-    """
-    seq = tuple(DObj(x.rs, x.root, 0) for x in partial)
-    if seq and not is_exceptional(seq):
-        raise ValueError("partial sequence is not exceptional")
-    if seq and len(seq) > seq[0].rs.n:
-        raise ValueError("sequence longer than the rank")
-    if not seq:
-        raise ValueError("cannot complete an empty sequence without a root system")
-    rs = seq[0].rs
-    result = _complete_from(rs, seq)
-    if result is None:
-        raise MutationError("no completion found; exceptional-sequence data corrupt")
-    return result
-
-
-def _complete_from(rs: RootSystemData, seq: ExcSeq) -> ExcSeq | None:
-    if len(seq) == rs.n:
-        return seq
-    for root in range(len(rs.positive_roots)):
-        cand = DObj(rs, root, 0)
-        if not any(nonzero_exts(cand, e) for e in seq):
-            found = _complete_from(rs, seq + (cand,))
-            if found is not None:
-                return found
-    return None
-
 
 def _complete_sequences(rs: RootSystemData) -> Iterator[ExcSeq]:
     """Each complete exceptional sequence of modules, by depth-first search

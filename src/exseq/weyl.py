@@ -3,21 +3,23 @@
 Group elements are integer matrices acting on the simple-root basis of K_0
 (column convention).  An m-noncrossing partition is an (m+1)-tuple of
 elements whose product is the Coxeter element c with additive absolute
-lengths; phi sends such a tuple to a configuration by factoring each part
-into reflections, reading the reflections as exceptional modules, and
-collecting the simples of the wide subcategories they generate.
+lengths.  Each element u of [1, c] carries its wide subcategory
+W(u) = {X : t_X <= u} as a bitmask over the positive roots, so absolute-order
+questions on [1, c] are mask tests.  phi sends a partition to a
+configuration by reading the simples of each W(u) off the Hom table and
+placing them in degrees m, ..., 0.
 """
 from __future__ import annotations
 
 from functools import reduce
 from typing import Iterable, Iterator
 
-from .derived import DObj, nonzero_exts, shift
+from .derived import DObj, _require_categorical
 from .roots import (
     DimVector, IntMatrix, RootSystemData, fuss_catalan, mat_identity, mat_mul,
     mat_vec, null_space,
 )
-from .sequences import MutationError, complete_sequence, is_exceptional
+from .sequences import MutationError
 from .silting import DCollection, collection, is_m_config, order_config
 
 WeylElt = IntMatrix
@@ -74,7 +76,14 @@ class WeylGroup:
     group.  It is built by descent from c: t.u lies below u exactly when
     the root of t is orthogonal to Fix(u) (Bessis; Brady-Watt), and every
     element below c is reached this way.  Each element carries its
-    absolute length and its inverse, so every query on [1, c] is a lookup.
+    absolute length, its inverse and its wide mask: the bitmask of the
+    roots that pass that test, which are the reflections t <= u and the
+    indecomposables of the wide subcategory W(u) (Ingalls-Thomas).  So
+    every query on [1, c] is a lookup, and u <= v exactly when the mask of
+    u is contained in the mask of v.  For the A, D, E families it also keeps,
+    for each root x, the mask of the other roots y with a nonzero map
+    M_y -> M_x and dim M_y <= dim M_x, read off the Hom table; phi reads the
+    simples of each W(u) from these.
     """
 
     def __init__(self, rs: RootSystemData):
@@ -92,16 +101,19 @@ class WeylGroup:
         coroots = [_coroot(rs, r) for r in range(len(rs.positive_roots))]
 
         interval = {self.coxeter: (n, c_inv)}
+        masks = {self.identity: 0}
         level = [self.coxeter]
         for length in range(n - 1, -1, -1):
             below = []
             for u in level:
                 u_inv = interval[u][1]
                 normals = [mat_vec(rs.sym_matrix, f) for f in _fixed_space(u)]
-                for alpha, beta in zip(rs.positive_roots, coroots):
+                mask = 0
+                for r, (alpha, beta) in enumerate(zip(rs.positive_roots, coroots)):
                     if any(sum(a * g for a, g in zip(alpha, normal))
                            for normal in normals):
                         continue
+                    mask |= 1 << r
                     # t = id - alpha beta^T, so t.u = u - alpha (beta^T u) and
                     # u^-1.t = u^-1 - (u^-1 alpha) beta^T: rank-one updates.
                     bu = [sum(b * x for b, x in zip(beta, col)) for col in zip(*u)]
@@ -113,18 +125,32 @@ class WeylGroup:
                             tuple(x - c * b for x, b in zip(row, beta))
                             for c, row in zip(ua, u_inv)))
                         below.append(tu)
+                masks[u] = mask
             level = below
         expected = fuss_catalan(rs, 1)
         if len(interval) != expected:
             raise MutationError(
                 f"descent from c found {len(interval)} elements, expected {expected}"
             )
-        self._interval = interval
+        self._interval = {w: entry + (masks[w],) for w, entry in interval.items()}
         self.elements: tuple[WeylElt, ...] = tuple(sorted(interval))
+
+        self._subobjects: tuple[int, ...] | None = None
+        if rs.hom_table is not None:
+            hom = rs.hom_table[0]
+            heights = [sum(root) for root in rs.positive_roots]
+            self._subobjects = tuple(
+                sum(1 << y for y, h in enumerate(heights)
+                    if y != x and hom[y][x] and h <= heights[x])
+                for x in range(len(heights)))
 
     def inverse(self, w: WeylElt) -> WeylElt:
         """The inverse of an element of [1, c]."""
         return self._interval[w][1]
+
+    def _wide_mask(self, w: WeylElt) -> int:
+        """The roots of W(w) = {X : t_X <= w}, as a bitmask; w in [1, c]."""
+        return self._interval[w][2]
 
     def abs_length(self, w: WeylElt) -> int:
         """The reflection length: a lookup on [1, c], computed off it."""
@@ -150,21 +176,18 @@ def enumerate_m_nc(group: WeylGroup, m: int) -> list[NCTuple]:
     if m < 0:
         raise ValueError("m must be non-negative")
     out: list[NCTuple] = []
+    entries = [(u, u_inv, mask) for u, (_, u_inv, mask) in group._interval.items()]
 
     def split(v: WeylElt, parts: int, prefix: tuple[WeylElt, ...]) -> None:
         if parts == 1:
             out.append(prefix + (v,))
             return
-        lv = group.abs_length(v)
-        for u in group.elements:
-            lu = group.abs_length(u)
-            if lu > lv:
-                continue
-            rest = mat_mul(group.inverse(u), v)
-            # Both factors of a T-reduced split of v <= c lie below v, so
-            # the lookup on [1, c] decides the split exactly.
-            if group.below_coxeter(rest) and group.abs_length(rest) == lv - lu:
-                split(rest, parts - 1, prefix + (u,))
+        v_mask = group._wide_mask(v)
+        for u, u_inv, mask in entries:
+            # u <= v exactly when W(u) lies in W(v), and then u^-1 v is the
+            # T-reduced cofactor of u in v.
+            if not mask & ~v_mask:
+                split(mat_mul(u_inv, v), parts - 1, prefix + (u,))
 
     split(group.coxeter, m + 1, ())
     out.sort()
@@ -179,21 +202,23 @@ def reflection_factorizations(group: WeylGroup, w: WeylElt,
     """
     if not group.below_coxeter(w):
         raise ValueError("element is not below the Coxeter element in absolute order")
-    words = _factorization_words(group, w, group.abs_length(w))
+    words = _factorization_words(group, w)
     if first_only:
         return [next(words)]
     return list(words)
 
 
-def _factorization_words(group: WeylGroup, w: WeylElt, length: int
-                         ) -> Iterator[tuple[int, ...]]:
-    if length == 0:
+def _factorization_words(group: WeylGroup, w: WeylElt) -> Iterator[tuple[int, ...]]:
+    """The T-reduced words for w in [1, c], in lexicographic order of root
+    indices.  A word may start with t exactly when t <= w, which is when
+    t's root is in the wide mask of w."""
+    mask = group._wide_mask(w)
+    if not mask:
         yield ()
         return
     for r, t in enumerate(group.reflections):
-        rest = mat_mul(t, w)
-        if group.below_coxeter(rest) and group.abs_length(rest) == length - 1:
-            for tail in _factorization_words(group, rest, length - 1):
+        if mask >> r & 1:
+            for tail in _factorization_words(group, mat_mul(t, w)):
                 yield (r,) + tail
 
 
@@ -211,61 +236,6 @@ def sequence_reflection_product(seq: Iterable[DObj]) -> WeylElt:
 
 
 # ---------------------------------------------------------------------------
-# Wide subcategories and their simples.
-# ---------------------------------------------------------------------------
-
-def wide_subcategory(chunk: Iterable[DObj]) -> frozenset[DObj]:
-    """The wide closure of an exceptional sequence of modules, computed as
-    the perpendicular of the completion's appended part: all degree-0
-    indecomposables Z with Hom(G, Z) = 0 = Ext^1(G, Z) for every appended G.
-    The result does not depend on the completion."""
-    seq = tuple(chunk)
-    if not seq:
-        raise ValueError("wide subcategory of an empty chunk needs a root system")
-    rs = seq[0].rs
-    if any(x.degree != 0 for x in seq):
-        raise ValueError("wide subcategories are computed at degree 0")
-    if not is_exceptional(seq):
-        raise ValueError("chunk is not an exceptional sequence")
-    appended = complete_sequence(seq)[len(seq):]
-    out = []
-    for root in range(len(rs.positive_roots)):
-        z = DObj(rs, root, 0)
-        if not any(nonzero_exts(g, z) for g in appended):
-            out.append(z)
-    return frozenset(out)
-
-
-def simples_of_wide(objs: Iterable[DObj], expected_rank: int | None = None
-                    ) -> frozenset[DObj]:
-    """The simple objects of a wide subcategory, detected by dimension-vector
-    additivity: simple iff the dimension vector is not a sum of two or more
-    dimension vectors of members (repetition allowed)."""
-    members = sorted(objs, key=lambda x: x.root)
-    dims = [x.dim() for x in members]
-
-    def decomposable(target: DimVector) -> bool:
-        def search(v: DimVector, parts: int, start: int) -> bool:
-            if all(c == 0 for c in v):
-                return parts >= 2
-            for k in range(start, len(dims)):
-                d = dims[k]
-                if all(a >= b for a, b in zip(v, d)):
-                    if search(tuple(a - b for a, b in zip(v, d)), parts + 1, k):
-                        return True
-            return False
-
-        return search(target, 0, 0)
-
-    result = frozenset(x for x in members if not decomposable(x.dim()))
-    if expected_rank is not None and len(result) != expected_rank:
-        raise MutationError(
-            f"wide subcategory has {len(result)} simples, expected {expected_rank}"
-        )
-    return result
-
-
-# ---------------------------------------------------------------------------
 # The bijection phi between noncrossing partitions and configurations.
 # ---------------------------------------------------------------------------
 
@@ -276,30 +246,38 @@ def _validate_nc(group: WeylGroup, parts: NCTuple) -> None:
         raise ValueError("tuple is not T-reduced: lengths do not add to the rank")
 
 
+def _simple_roots(group: WeylGroup, mask: int) -> list[int]:
+    """The simples of the wide subcategory W with root mask `mask`, in root
+    order: the members x with no other member y such that Hom(M_y, M_x) is
+    nonzero and dim M_y <= dim M_x.
+
+    Such a map has a nonzero image, which lies in W as W is closed under
+    kernels and cokernels.  Were M_x simple in W, the image would be M_x, so
+    the map would be onto and, by dimension, an isomorphism, forcing y = x.
+    Conversely a non-simple M_x has a simple subobject in W, which is such
+    a y."""
+    subobjects = group._subobjects
+    return [x for x, below in enumerate(subobjects)
+            if mask >> x & 1 and not mask & below]
+
+
 def phi(group: WeylGroup, parts: NCTuple) -> DCollection:
     """Send an m-noncrossing partition to an m-configuration.
 
-    Each part is factored into reflections (first word in deterministic
-    order; the result is word-independent), the reflections are read as
-    exceptional modules, and the simples of the wide subcategory of each
-    chunk are placed in degree m+1-i.
+    The simples of the wide subcategory W(u_i) of the i-th part are placed
+    in degree m+1-i.
     """
     rs = group.rs
+    _require_categorical(rs)
     _validate_nc(group, parts)
     m = len(parts) - 1
-    chunks = []
-    for u in parts:
-        word = reflection_factorizations(group, u, first_only=True)[0]
-        chunks.append(tuple(DObj(rs, r, 0) for r in word))
-    full = tuple(x for chunk in chunks for x in chunk)
-    if not is_exceptional(full):
-        raise MutationError("reduced factorization did not give an exceptional sequence")
     out = []
-    for i, chunk in enumerate(chunks, start=1):
-        if not chunk:
-            continue
-        simples = simples_of_wide(wide_subcategory(chunk), expected_rank=len(chunk))
-        out.extend(shift(x, m + 1 - i) for x in simples)
+    for i, u in enumerate(parts, start=1):
+        simples = _simple_roots(group, group._wide_mask(u))
+        if len(simples) != group.abs_length(u):
+            raise MutationError(f"wide subcategory has {len(simples)} simples, "
+                                f"expected {group.abs_length(u)}")
+        out.extend(DObj(rs, r, m + 1 - i) for r in simples)
     result = collection(out)
     if not is_m_config(result, m):
         raise MutationError("phi produced a non-configuration")

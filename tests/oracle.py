@@ -6,9 +6,11 @@ the Serre-duality recursion it once used, the enumeration graph with the
 pairwise Ext predicates it once called, and its clique search with the
 plain depth-first search.  The positive roots are compared with the
 closure of the simples under all simple reflections.  Reflection length
-comes from breadth-first search in the Cayley graph, and Fac-torsion
-membership from checking that the joint image of all homomorphisms covers
-the target (type A).  The periodic-configuration checks are the bounded
+comes from breadth-first search in the Cayley graph, a wide subcategory from
+the perpendicular of a completed exceptional sequence and its simples from a
+subset-sum search over dimension vectors, and Fac-torsion membership from
+checking that the joint image of all homomorphisms covers the target
+(type A).  The periodic-configuration checks are the bounded
 loops over F-powers f_power(x, k), |k| up to a degree reach, against which
 the library's orbit walk is compared.  It also lists every admissible
 numbering of a Dynkin diagram, the input of the orientation sweeps.
@@ -19,15 +21,16 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from typing import Iterable
 
 from exseq.derived import (
     DObj, WindowSpec, f_power, hom_dim, nonzero_exts, window_objects,
 )
 from exseq.riedtmann import PeriodicConfig
 from exseq.roots import (
-    QuiverDescriptor, QuiverError, RootSystemData, coxeter_transform,
+    DimVector, QuiverDescriptor, QuiverError, RootSystemData, coxeter_transform,
 )
-from exseq.sequences import MutationError
+from exseq.sequences import ExcSeq, MutationError, is_exceptional
 from exseq.silting import DCollection, collection, is_hom_leq0_config
 from exseq.weyl import WeylGroup, mat_mul
 
@@ -326,6 +329,94 @@ def cayley_abs_lengths(group: WeylGroup) -> dict:
                     nxt.append(new)
         frontier = nxt
     return dist
+
+
+# ---------------------------------------------------------------------------
+# Wide subcategories by completion and perpendicular.
+# ---------------------------------------------------------------------------
+
+def complete_sequence(partial: Iterable[DObj]) -> ExcSeq:
+    """Extend a module-level exceptional sequence to a complete one by
+    appending, deterministically in the stored root order.
+
+    Objects in nonzero degrees are first normalized to degree 0; existence
+    of a completion is guaranteed, so failure raises MutationError.
+    """
+    seq = tuple(DObj(x.rs, x.root, 0) for x in partial)
+    if seq and not is_exceptional(seq):
+        raise ValueError("partial sequence is not exceptional")
+    if seq and len(seq) > seq[0].rs.n:
+        raise ValueError("sequence longer than the rank")
+    if not seq:
+        raise ValueError("cannot complete an empty sequence without a root system")
+    rs = seq[0].rs
+    result = _complete_from(rs, seq)
+    if result is None:
+        raise MutationError("no completion found; exceptional-sequence data corrupt")
+    return result
+
+
+def _complete_from(rs: RootSystemData, seq: ExcSeq) -> ExcSeq | None:
+    if len(seq) == rs.n:
+        return seq
+    for root in range(len(rs.positive_roots)):
+        cand = DObj(rs, root, 0)
+        if not any(nonzero_exts(cand, e) for e in seq):
+            found = _complete_from(rs, seq + (cand,))
+            if found is not None:
+                return found
+    return None
+
+
+def wide_subcategory(chunk: Iterable[DObj]) -> frozenset[DObj]:
+    """The wide closure of an exceptional sequence of modules, computed as
+    the perpendicular of the completion's appended part: all degree-0
+    indecomposables Z with Hom(G, Z) = 0 = Ext^1(G, Z) for every appended G.
+    The result does not depend on the completion."""
+    seq = tuple(chunk)
+    if not seq:
+        raise ValueError("wide subcategory of an empty chunk needs a root system")
+    rs = seq[0].rs
+    if any(x.degree != 0 for x in seq):
+        raise ValueError("wide subcategories are computed at degree 0")
+    if not is_exceptional(seq):
+        raise ValueError("chunk is not an exceptional sequence")
+    appended = complete_sequence(seq)[len(seq):]
+    out = []
+    for root in range(len(rs.positive_roots)):
+        z = DObj(rs, root, 0)
+        if not any(nonzero_exts(g, z) for g in appended):
+            out.append(z)
+    return frozenset(out)
+
+
+def simples_of_wide(objs: Iterable[DObj], expected_rank: int | None = None
+                    ) -> frozenset[DObj]:
+    """The simple objects of a wide subcategory, detected by dimension-vector
+    additivity: simple iff the dimension vector is not a sum of two or more
+    dimension vectors of members (repetition allowed)."""
+    members = sorted(objs, key=lambda x: x.root)
+    dims = [x.dim() for x in members]
+
+    def decomposable(target: DimVector) -> bool:
+        def search(v: DimVector, parts: int, start: int) -> bool:
+            if all(c == 0 for c in v):
+                return parts >= 2
+            for k in range(start, len(dims)):
+                d = dims[k]
+                if all(a >= b for a, b in zip(v, d)):
+                    if search(tuple(a - b for a, b in zip(v, d)), parts + 1, k):
+                        return True
+            return False
+
+        return search(target, 0, 0)
+
+    result = frozenset(x for x in members if not decomposable(x.dim()))
+    if expected_rank is not None and len(result) != expected_rank:
+        raise MutationError(
+            f"wide subcategory has {len(result)} simples, expected {expected_rank}"
+        )
+    return result
 
 
 # ---------------------------------------------------------------------------

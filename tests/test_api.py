@@ -11,8 +11,8 @@ PUBLIC_NAMES = [
     'NCTuple', 'PeriodicConfig', 'QuiverDescriptor', 'QuiverError',
     'RootSystemData', 'WeylGroup', 'WindowSpec', 'abs_length',
     'build_root_system', 'check_negative_mutation_invariance', 'class_of',
-    'collection', 'complete_sequence', 'config_to_riedtmann',
-    'config_to_silting', 'coxeter_element', 'coxeter_transform', 'derived',
+    'collection', 'config_to_riedtmann', 'config_to_silting',
+    'coxeter_element', 'coxeter_transform', 'derived',
     'enumerate_complete_sequences', 'enumerate_configs', 'enumerate_kind',
     'enumerate_m_nc', 'enumerate_silting', 'euler_form', 'ext_dim',
     'ext_projectives', 'f_power', 'f_translate', 'f_translate_inv',
@@ -25,9 +25,8 @@ PUBLIC_NAMES = [
     'proj', 'reflect', 'reflection_factorizations', 'reflection_matrix',
     'reflection_of_object', 'riedtmann', 'riedtmann_to_config', 'roots',
     'rotate', 'sequence_reflection_product', 'sequences', 'shift', 'silting',
-    'silting_to_config', 'simple', 'simples_of_wide', 'sym_form', 'tau',
-    'tau_inv', 'torsion_window', 'translate', 'weyl', 'wide_subcategory',
-    'window_objects',
+    'silting_to_config', 'simple', 'sym_form', 'tau', 'tau_inv',
+    'torsion_window', 'translate', 'weyl', 'window_objects',
 ]
 
 SIGNATURES = {
@@ -48,7 +47,6 @@ SIGNATURES = {
         "(seq: 'ExcSeq', i: 'int', w: 'WindowSpec') -> 'bool'",
     'class_of': "(x: 'DObj') -> 'DimVector'",
     'collection': "(objs: 'Iterable[DObj]') -> 'DCollection'",
-    'complete_sequence': "(partial: 'Iterable[DObj]') -> 'ExcSeq'",
     'config_to_riedtmann': "(col: 'DCollection') -> 'PeriodicConfig'",
     'config_to_silting': "(col: 'DCollection') -> 'DCollection'",
     'coxeter_element': "(rs: 'RootSystemData') -> 'WeylElt'",
@@ -124,9 +122,6 @@ SIGNATURES = {
     'silting_to_config': "(col: 'DCollection') -> 'DCollection'",
     'simple':
         "(rs: 'RootSystemData', vertex: 'int', degree: 'int' = 0) -> 'DObj'",
-    'simples_of_wide':
-        "(objs: 'Iterable[DObj]', "
-        "expected_rank: 'int | None' = None) -> 'frozenset[DObj]'",
     'sym_form':
         "(rs: 'RootSystemData', d: 'DimVector', e: 'DimVector') -> 'int'",
     'tau': "(x: 'DObj') -> 'DObj'",
@@ -134,7 +129,6 @@ SIGNATURES = {
     'torsion_window':
         "(col: 'DCollection', w: 'WindowSpec') -> 'frozenset[DObj]'",
     'translate': "(x: 'DObj', op: 'str', k: 'int' = 1) -> 'DObj'",
-    'wide_subcategory': "(chunk: 'Iterable[DObj]') -> 'frozenset[DObj]'",
     'window_objects':
         "(rs: 'RootSystemData', w: 'WindowSpec') -> 'list[DObj]'",
 }

@@ -178,6 +178,20 @@ def test_biject_nc_to_config_rejects_wrong_m(capsys, tmp_path):
     assert "error" not in payload["records"][1]
 
 
+def test_biject_nc_to_config_rejects_weyl_only_family(capsys, tmp_path):
+    # B2 has noncrossing partitions but no Hom table to read simples from.
+    infile = tmp_path / "nc.json"
+    infile.write_text(json.dumps([{"reflection_words": [[], [[1, 0], [0, 1]]]}]))
+    code = main(["biject", "--type", "B2", "--m", "1",
+                 "--direction", "nc-to-config", "--in", str(infile)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.out)
+    assert payload["failures"] == 1
+    assert payload["records"][0]["error"].startswith("family B is Weyl-only; ")
+
+
 def test_riedtmann_verify(capsys):
     code, payload = run(capsys, "riedtmann", "--type", "A3", "--verify")
     assert code == 0

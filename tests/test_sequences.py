@@ -5,14 +5,16 @@ import pytest
 
 from exseq import (
     DObj, MutationSign, QuiverDescriptor, build_root_system, class_of,
-    complete_sequence, enumerate_complete_sequences, ext_dim, is_exceptional,
-    mu_rev, mu_rev_inverse, mutate, nu_inv, proj, reflect, rotate, shift, simple,
+    enumerate_complete_sequences, ext_dim, is_exceptional, mu_rev,
+    mu_rev_inverse, mutate, nu_inv, proj, reflect, rotate, shift, simple,
 )
 from exseq import sequences
 from exseq.derived import nonzero_exts
 from exseq.sequences import (
     _complete_sequences, mu_rev_order, mu_rev_order_alt, mu_rev_steps,
 )
+
+from oracle import complete_sequence
 
 
 def test_is_exceptional_a2(a2):

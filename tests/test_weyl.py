@@ -8,11 +8,13 @@ from exseq import (
     enumerate_kind, enumerate_m_nc, fuss_catalan, generate_weyl, is_exceptional,
     mutate, phi, phi_inverse, proj, reflection_factorizations,
     reflection_matrix, reflection_of_object, sequence_reflection_product,
-    shift, simple, simples_of_wide, wide_subcategory,
+    shift, simple,
 )
 from exseq.weyl import mat_identity, mat_mul, nc_from_dict, nc_to_dict
 
-from oracle import admissible_quivers, cayley_abs_lengths
+from oracle import (
+    admissible_quivers, cayley_abs_lengths, simples_of_wide, wide_subcategory,
+)
 
 
 def test_group_sizes(a1, a2, b2):
@@ -85,10 +87,13 @@ def test_reflection_matrices_are_involutions(d4):
 
 
 def test_nc_counts(a2, a3, d4, b2):
-    for rs in (a2, a3, d4, b2):
+    from exseq import QuiverDescriptor, build_root_system
+    d5 = build_root_system(QuiverDescriptor.standard("D", 5))
+    e6 = build_root_system(QuiverDescriptor.standard("E", 6))
+    cases = [(rs, m) for rs in (a2, a3, d4, b2) for m in (1, 2)]
+    for rs, m in cases + [(d5, 2), (e6, 1)]:
         group = generate_weyl(rs)
-        for m in (1, 2):
-            assert len(enumerate_m_nc(group, m)) == fuss_catalan(rs, m)
+        assert len(enumerate_m_nc(group, m)) == fuss_catalan(rs, m)
 
 
 def test_nc_m0_and_structure(a2):
@@ -253,10 +258,7 @@ def test_phi_word_independent(a3):
     group = generate_weyl(a3)
     for parts in enumerate_m_nc(group, 1)[:20]:
         results = set()
-        all_words = [
-            list(_factorization_words(group, u, group.abs_length(u)))
-            for u in parts
-        ]
+        all_words = [list(_factorization_words(group, u)) for u in parts]
         for combo in itertools.product(*all_words):
             chunks = [tuple(DObj(a3, r, 0) for r in word) for word in combo]
             full = tuple(x for chunk in chunks for x in chunk)
@@ -284,6 +286,44 @@ def test_simples_count_matches_length(a3):
             chunk = tuple(DObj(a3, r, 0) for r in word)
             simples = simples_of_wide(wide_subcategory(chunk))
             assert len(simples) == length
+
+
+@pytest.mark.parametrize("family,rank,every_numbering", [
+    ("A", 3, True), ("A", 4, True), ("D", 4, True), ("D", 5, False),
+])
+def test_wide_masks_match_oracle(family, rank, every_numbering):
+    # The mask of u against the perpendicular of a completed reduced word
+    # for u, its simples against the subset-sum search, and mask
+    # containment against the absolute order read off lengths.
+    from exseq import QuiverDescriptor, build_root_system
+    from exseq.weyl import _simple_roots
+    quivers = (admissible_quivers(family, rank) if every_numbering
+               else [QuiverDescriptor.standard(family, rank)])
+    for q in quivers:
+        rs = build_root_system(q)
+        group = generate_weyl(rs)
+        masks = {u: group._wide_mask(u) for u in group.elements}
+        assert masks[group.identity] == 0
+        for u, mask in masks.items():
+            if u == group.identity:
+                continue
+            word = reflection_factorizations(group, u, first_only=True)[0]
+            chunk = tuple(DObj(rs, r, 0) for r in word)
+            assert sequence_reflection_product(chunk) == u
+            assert len(word) == abs_length(rs, u)
+            wide = wide_subcategory(chunk)
+            assert mask == sum(1 << x.root for x in wide), (q, u)
+            simples = simples_of_wide(wide, expected_rank=len(word))
+            assert _simple_roots(group, mask) == sorted(x.root for x in simples)
+        # u <= v <= c puts u^-1 v in [1, c] too, so off it u is not below v.
+        for u, v in itertools.product(group.elements, repeat=2):
+            lu, lv = group.abs_length(u), group.abs_length(v)
+            below = False
+            if lu <= lv:
+                cofactor = mat_mul(group.inverse(u), v)
+                below = (group.below_coxeter(cofactor)
+                         and lu + group.abs_length(cofactor) == lv)
+            assert (not masks[u] & ~masks[v]) == below, (q, u, v)
 
 
 def test_nc_json_round_trip(a3):
