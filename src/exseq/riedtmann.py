@@ -6,6 +6,13 @@ the autoequivalence F = [-2]tau^{-1}.  Periodicity makes every check finite:
 F moves the degree down by 1 or 2 and stalk Homs reach one degree, so only
 the orbit members near a seed or a probe window can interact.
 
+The periodic checks run in index space: an object is a (root, degree) pair,
+F and F^{-1} are the lookups rs.f_table and rs.f_inv_table, and the Homs
+out of or into a root in the next degree up are bitmasks over the roots,
+rs.hom_masks.  So orthogonality and covering are mask operations over the
+roots of one degree at a time, with no DObj built until a result is
+returned.
+
 The torsion class of a collection M is A(M) = {X : Ext^i(M, X) = 0, i >= 1},
 here always intersected with an explicit degree window.
 """
@@ -14,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .derived import (
-    DObj, WindowSpec, f_translate, f_translate_inv, forbidden_ext, hom_dim,
-    is_projective, window_objects,
+    DObj, WindowSpec, _require_categorical, forbidden_ext, is_projective,
+    window_objects,
 )
+from .roots import RootSystemData
 from .sequences import ExcSeq, MutationError, MutationSign, mutate
 from .silting import DCollection, collection, is_hom_leq0_config, is_m_config
 
@@ -28,35 +36,58 @@ class PeriodicConfig:
     seeds: DCollection
 
 
-def _orbit(x: DObj, lo: int, hi: int) -> list[DObj]:
-    """The members of the F-orbit of x with degree in [lo, hi].
+def _orbit(x: DObj, lo: int, hi: int) -> list[tuple[int, int]]:
+    """The members of the F-orbit of x with degree in [lo, hi], as
+    (root, degree) pairs.
 
     F lowers the degree by 1 (tau^{-1} sends I_v[d] to P_v[d + 1]) or by 2,
     so walking F down and F^{-1} up from x can stop at the first member
     past the range.
     """
     out = []
-    y = x
-    while y.degree >= lo:
-        if y.degree <= hi:
-            out.append(y)
-        y = f_translate(y)
-    y = f_translate_inv(x)
-    while y.degree <= hi:
-        if y.degree >= lo:
-            out.append(y)
-        y = f_translate_inv(y)
+    step = x.rs.f_table
+    root, degree = x.root, x.degree
+    while degree >= lo:
+        if degree <= hi:
+            out.append((root, degree))
+        root, move = step[root]
+        degree += move
+    step = x.rs.f_inv_table
+    root, move = step[x.root]
+    degree = x.degree + move
+    while degree <= hi:
+        if degree >= lo:
+            out.append((root, degree))
+        root, move = step[root]
+        degree += move
     return out
 
 
 def make_periodic(seeds: DCollection) -> PeriodicConfig:
     """Wrap seeds, rejecting two seeds in one F-orbit."""
     objs = seeds.objects
-    for i, a in enumerate(objs):
-        for b in objs[i + 1:]:
-            if b in _orbit(a, b.degree, b.degree):
-                raise ValueError(f"seeds {a!r} and {b!r} lie in one F-orbit")
+    if len(objs) > 1:
+        rs = seeds.rs
+        _require_categorical(rs)
+        lo, hi = objs[0].degree, objs[-1].degree
+        for i, a in enumerate(objs):
+            orbit = set(_orbit(a, lo, hi))
+            for b in objs[i + 1:]:
+                if (b.root, b.degree) in orbit:
+                    raise ValueError(f"seeds {a!r} and {b!r} lie in one F-orbit")
     return PeriodicConfig(seeds)
+
+
+def _window_masks(rs: RootSystemData, w: WindowSpec) -> list[tuple[int, int]]:
+    """Per degree of the window, lowest first, the mask of the roots whose
+    stalk in that degree the window contains (as WindowSpec.contains)."""
+    full = (1 << len(rs.positive_roots)) - 1
+    rows = [(d, full) for d in range(w.lo, w.hi + 1)]
+    if w.minus_projectives:
+        rows[0] = (w.lo, full & ~sum(1 << rs.root_index[d] for d in rs.proj_dims))
+    if w.plus_injectives:
+        rows.insert(0, (w.lo - 1, sum(1 << rs.root_index[d] for d in rs.inj_dims)))
+    return rows
 
 
 def is_combinatorial_configuration(p: PeriodicConfig, probe_window: WindowSpec) -> bool:
@@ -66,29 +97,43 @@ def is_combinatorial_configuration(p: PeriodicConfig, probe_window: WindowSpec) 
 
     Hom between stalks is nonzero only at degree gap 0 or 1, so only the
     orbit members within one degree of a seed, or of a window object, are
-    walked.
+    walked.  In rs.hom_masks, row0[r] and row1[r] mask the roots s with
+    Hom(M_r, M_s) and Hom(M_r, M_s[1]) nonzero, col0[r] and col1[r] those
+    with Hom(M_s, M_r) and Hom(M_s, M_r[1]) nonzero:
+
+    - orthogonality: the seeds with a nonzero Hom to a member M_r[e] are
+      col0[r] over the seed roots in degree e and col1[r] over those in
+      degree e - 1, less the member itself when it is a seed;
+    - covering: the roots reached in degree e are the union of row0 over
+      the members in degree e and row1 over those in degree e - 1.
     """
     seeds = p.seeds.objects
     if not seeds:
         raise ValueError("empty seed set")
     rs = p.seeds.rs
+    _require_categorical(rs)
+    row0, row1, col0, col1 = rs.hom_masks
+    seed_roots: dict[int, int] = {}
+    for a in seeds:
+        seed_roots[a.degree] = seed_roots.get(a.degree, 0) | 1 << a.root
     lo, hi = seeds[0].degree, seeds[-1].degree
     for b in seeds:
-        for y in _orbit(b, lo, hi + 1):
-            if any(hom_dim(a, y) for a in seeds if not (a == b == y)):
+        for r, e in _orbit(b, lo, hi + 1):
+            same = seed_roots.get(e, 0)
+            if e == b.degree:       # F moves the degree: this member is b
+                same &= ~(1 << r)
+            if col0[r] & same or col1[r] & seed_roots.get(e - 1, 0):
                 return False
     w = probe_window
-    # window_objects also lists degree w.lo - 1 (plus_injectives), and a
-    # member reaches z from degree z.degree or z.degree - 1.
-    by_degree: dict[int, list[DObj]] = {}
+    # The window reaches down to w.lo - 1 (plus_injectives), and a member
+    # reaches M_s[e] from degree e or e - 1.
+    base = w.lo - 2
+    reached = [0] * (w.hi - base + 2)
     for a in seeds:
-        for y in _orbit(a, w.lo - 2, w.hi):
-            by_degree.setdefault(y.degree, []).append(y)
-    for z in window_objects(rs, w):
-        near = by_degree.get(z.degree, []) + by_degree.get(z.degree - 1, [])
-        if not any(hom_dim(y, z) for y in near):
-            return False
-    return True
+        for r, e in _orbit(a, base, w.hi):
+            reached[e - base] |= row0[r]
+            reached[e - base + 1] |= row1[r]
+    return all(not need & ~reached[e - base] for e, need in _window_masks(rs, w))
 
 
 _RIEDTMANN_PROBE = WindowSpec(-1, 2)
@@ -114,14 +159,15 @@ def config_to_riedtmann(col: DCollection) -> PeriodicConfig:
 
 
 def riedtmann_to_config(p: PeriodicConfig) -> DCollection:
-    """Collect the F-orbit representatives inside the minus window for m = 1;
-    they form a Hom<=0-configuration, inverse to config_to_riedtmann."""
+    """Collect the F-orbit representatives inside the minus window for m = 1
+    (degrees 0 and 1, no degree-0 projectives); they form a
+    Hom<=0-configuration, inverse to config_to_riedtmann."""
     if not is_combinatorial_configuration(p, _RIEDTMANN_PROBE):
         raise ValueError("not a combinatorial configuration")
-    window = WindowSpec(0, 1, minus_projectives=True)
-    result = collection(x for seed in p.seeds.objects
-                        for x in _orbit(seed, window.lo, window.hi)
-                        if window.contains(x))
+    rs = p.seeds.rs
+    result = collection(DObj(rs, r, e) for seed in p.seeds.objects
+                        for r, e in _orbit(seed, 0, 1)
+                        if e == 1 or not rs.is_projective_root(r))
     if not is_hom_leq0_config(result):
         raise MutationError(
             "minus-window part of a periodic configuration must be a configuration"

@@ -92,6 +92,15 @@ def null_space(m: IntMatrix) -> list[DimVector]:
     return [tuple(row[k:]) for row in rows[rank:]]
 
 
+_NONZERO = bytes([48] + [49] * 255)    # byte 0 -> "0", any other -> "1"
+
+
+def _row_masks(rows) -> tuple[int, ...]:
+    """Per row of a Hom array, the bitmask of the roots with a nonzero entry.
+    Entries fit a byte: no Hom in Dynkin type exceeds 6 in dimension."""
+    return tuple(int(bytes(row).translate(_NONZERO)[::-1], 2) for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # Quivers.
 # ---------------------------------------------------------------------------
@@ -271,7 +280,10 @@ class RootSystemData:
     For the A, D, E families construction also fills `hom_table`, by a
     recurrence along the tau-orbits of the projectives: entry
     hom_table[gap][rx][ry] is dim Hom(M_rx[0], M_ry[gap]) for gap 0 and 1,
-    the only degree gaps at which two stalk complexes can interact.
+    the only degree gaps at which two stalk complexes can interact.  Beside
+    it sit `hom_masks`, the nonzero patterns of its rows and columns as
+    bitmasks over the roots, and `f_table`/`f_inv_table`, the
+    autoequivalence F = [-2]tau^{-1} and its inverse on (root, degree).
 
     Positive roots are ordered with the simple roots first (in vertex order)
     and the rest by (height, coordinates); this order is the deterministic
@@ -327,6 +339,9 @@ class RootSystemData:
         self._tau_image: tuple[int | None, ...] | None = None
         self._tau_inv_image: tuple[int | None, ...] | None = None
         self.hom_table: tuple[IntMatrix, IntMatrix] | None = None
+        self.hom_masks: tuple[tuple[int, ...], ...] | None = None
+        self.f_table: tuple[tuple[int, int], ...] | None = None
+        self.f_inv_table: tuple[tuple[int, int], ...] | None = None
         if self.family in CATEGORICAL_FAMILIES:
             self._build_categorical()
 
@@ -450,7 +465,18 @@ class RootSystemData:
                 tau_inv_img.append(self.root_index[image])
         self._tau_image = tuple(tau_img)
         self._tau_inv_image = tuple(tau_inv_img)
-        self.hom_table = self._hom_table()
+        self.hom_table = h0, h1 = self._hom_table()
+        self.hom_masks = tuple(map(_row_masks, (h0, h1, zip(*h0), zip(*h1))))
+        # F(M_r[d]) is M_{tau^-1 r}[d - 2], or P_v[d - 1] for r = I_v;
+        # F^-1(M_r[d]) is M_{tau r}[d + 2], or I_v[d + 1] for r = P_v.
+        proj_roots = [self.root_index[d] for d in proj]
+        inj_roots = [self.root_index[d] for d in inj]
+        self.f_table = tuple(
+            (t, -2) if t is not None else (proj_roots[self._inj_vertex[k]], -1)
+            for k, t in enumerate(self._tau_inv_image))
+        self.f_inv_table = tuple(
+            (t, 2) if t is not None else (inj_roots[self._proj_vertex[k]], 1)
+            for k, t in enumerate(self._tau_image))
 
     def _hom_table(self) -> tuple[IntMatrix, IntMatrix]:
         """Both Hom arrays, by a recurrence along the tau-orbits.  Four facts

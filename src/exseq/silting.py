@@ -204,15 +204,6 @@ def _cliques_of_size(count: int, neighbours: list[int], k: int) -> list[tuple[in
     return out
 
 
-_NONZERO = bytes([48] + [49] * 255)    # byte 0 -> "0", any other -> "1"
-
-
-def _row_masks(rows) -> list[int]:
-    """Per row of a Hom array, the bitmask of the roots with a nonzero entry.
-    Entries fit a byte: no Hom in Dynkin type exceeds 6 in dimension."""
-    return [int(bytes(row).translate(_NONZERO)[::-1], 2) for row in rows]
-
-
 def _compatibility_graph(rs: RootSystemData, w: WindowSpec,
                          rule: str) -> tuple[list[DObj], list[int]]:
     """The window's objects in (degree, root) order and their neighbourhoods,
@@ -223,16 +214,15 @@ def _compatibility_graph(rs: RootSystemData, w: WindowSpec,
     can be nonzero: Ext^g(a, b) = h0[r][s], Ext^(g+1)(a, b) = h1[r][s],
     Ext^(-g)(b, a) = h0[s][r] and Ext^(1-g)(b, a) = h1[s][r], with
     (h0, h1) = rs.hom_table.  So the roots in degree e that a excludes are
-    the union of the rows, at r, of those of the four arrays whose index
-    the rule forbids.
+    the union of the masks, at r, of those of the four arrays whose index
+    the rule forbids, read from rs.hom_masks (rows of h0, h1, then columns).
 
     Every object is compatible with itself, under either rule: stalks have
     no Ext^i(x, x) for i < 0, and every indecomposable of a Dynkin quiver is
     exceptional, so Ext^1(x, x) = 0 too.  So no object leaves the window.
     """
     objs = window_objects(rs, w)
-    h0, h1 = rs.hom_table
-    arrays = [_row_masks(t) for t in (h0, h1, zip(*h0), zip(*h1))]
+    arrays = rs.hom_masks
     lo, hi = RULES[rule]
     layout: dict[int, tuple[int, list[int]]] = {}   # degree -> offset, roots
     for k, x in enumerate(objs):

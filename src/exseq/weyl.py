@@ -240,7 +240,7 @@ def sequence_reflection_product(seq: Iterable[DObj]) -> WeylElt:
 # ---------------------------------------------------------------------------
 
 def _validate_nc(group: WeylGroup, parts: NCTuple) -> None:
-    if reduce(mat_mul, parts, group.identity) != group.coxeter:
+    if not parts or reduce(mat_mul, parts) != group.coxeter:
         raise ValueError("tuple does not multiply to the Coxeter element")
     if sum(group.abs_length(u) for u in parts) != group.rs.n:
         raise ValueError("tuple is not T-reduced: lengths do not add to the rank")

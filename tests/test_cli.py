@@ -353,6 +353,8 @@ GOLDEN_OUTPUTS = [
     (("verify", "--type", "D5", "--m", "1",
       "--orientation", "[[1,5],[2,3],[3,4],[3,5]]"),
      "bdf9f5ca40977a3134e9223480251776dc4664e48a78910f42bd4f179c05ab80"),
+    (("riedtmann", "--type", "D4", "--verify"),
+     "db205e5b2d1920adf4349ecd33d6471c24f233ec9f5c4c8cdaebaaa2884e19e9"),
 ]
 
 

@@ -4,7 +4,8 @@ import itertools
 import pytest
 
 from exseq import (
-    DObj, QuiverError, WindowSpec, build_root_system, class_of, ext_dim,
+    DObj, QuiverDescriptor, QuiverError, WindowSpec, build_root_system,
+    class_of, ext_dim,
     f_translate, f_translate_inv, hom_dim, inj, nu, nu_inv, obj,
     object_of_class, proj, shift, simple, tau, tau_inv, translate,
     window_objects,
@@ -206,3 +207,31 @@ def test_window_objects_count(a2):
     assert len(window_objects(a2, WindowSpec(0, 1))) == 6
     assert len(window_objects(a2, WindowSpec(1, 1, plus_injectives=True))) == 5
     assert len(window_objects(a2, WindowSpec(0, 1, minus_projectives=True))) == 4
+
+
+# ---------------------------------------------------------------------------
+# The index-space tables beside hom_table.
+# ---------------------------------------------------------------------------
+
+TABLE_QUIVERS = (
+    [q for family, rank in (("A", 3), ("A", 4), ("D", 4))
+     for q in admissible_quivers(family, rank)]
+    + [QuiverDescriptor.standard(family, rank)
+       for family, rank in (("D", 5), ("E", 6), ("E", 7), ("E", 8))]
+)
+
+
+@pytest.mark.parametrize("q", TABLE_QUIVERS,
+                         ids=[f"{q.family}{q.rank}-{i}" for i, q in enumerate(TABLE_QUIVERS)])
+def test_index_tables_match_their_definitions(q):
+    rs = build_root_system(q)
+    for x in _all_objects(rs, range(-3, 4)):
+        for table, translation in ((rs.f_table, f_translate),
+                                   (rs.f_inv_table, f_translate_inv)):
+            root, move = table[x.root]
+            assert DObj(rs, root, x.degree + move) == translation(x), x
+    h0, h1 = rs.hom_table
+    count = len(rs.positive_roots)
+    for masks, array in zip(rs.hom_masks, (h0, h1, list(zip(*h0)), list(zip(*h1)))):
+        assert masks == tuple(sum(1 << s for s in range(count) if row[s])
+                              for row in array)

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from exseq import (
-    DObj, MutationSign, PeriodicConfig, WindowSpec, build_root_system,
-    check_negative_mutation_invariance, collection, config_to_riedtmann,
-    enumerate_kind, ext_projectives, f_translate, fuss_catalan,
-    is_combinatorial_configuration, make_periodic, mutate, proj,
-    riedtmann_to_config, shift, simple, torsion_window,
+    DObj, MutationSign, PeriodicConfig, QuiverDescriptor, QuiverError,
+    WindowSpec, build_root_system, check_negative_mutation_invariance,
+    collection, config_to_riedtmann, enumerate_kind, ext_projectives,
+    f_power, f_translate, fuss_catalan, is_combinatorial_configuration,
+    make_periodic, mutate, proj, riedtmann_to_config, shift, simple,
+    torsion_window,
 )
 from exseq.sequences import mu_rev_steps
 from exseq.silting import order_silting
@@ -27,6 +28,10 @@ def test_combinatorial_configuration_a2(a2):
         make_periodic(collection([shift(p1, 1), s1])), PROBE)
     assert not is_combinatorial_configuration(
         make_periodic(collection([p1, s1])), PROBE)   # Hom(P1, S1) nonzero
+    for twin in (f_translate(s1), f_power(s1, -1), f_power(s1, 2)):
+        # twin is also a member of the orbit of s1, and Hom(twin, twin) != 0
+        assert not is_combinatorial_configuration(
+            PeriodicConfig(collection([s1, twin])), PROBE)
 
 
 def test_combinatorial_configuration_a1(a1):
@@ -179,6 +184,10 @@ ORACLE_WINDOWS = (
     WindowSpec(-1, 2), WindowSpec(-2, 3), WindowSpec(0, 0),
     WindowSpec(-1, 2, plus_injectives=True),
     WindowSpec(0, 1, minus_projectives=True),
+    # One degree: some F-orbits miss the window's other objects, so the
+    # added injectives and the removed projectives decide the result.
+    WindowSpec(0, 0, plus_injectives=True),
+    WindowSpec(1, 1, minus_projectives=True),
 )
 ORACLE_QUIVERS = [q for family, rank in (("A", 3), ("A", 4), ("D", 4))
                   for q in admissible_quivers(family, rank)]
@@ -200,8 +209,8 @@ def _assert_matches_oracle(seeds):
     assert _outcome(make_periodic, seeds) == _outcome(oracle.make_periodic, seeds)
     p = PeriodicConfig(seeds)
     for w in ORACLE_WINDOWS:
-        assert is_combinatorial_configuration(p, w) == \
-            oracle.is_combinatorial_configuration(p, w), (seeds, w)
+        assert _outcome(is_combinatorial_configuration, p, w) == \
+            _outcome(oracle.is_combinatorial_configuration, p, w), (seeds, w)
     assert _outcome(riedtmann_to_config, p) == \
         _outcome(oracle.riedtmann_to_config, p), seeds
 
@@ -216,6 +225,17 @@ def test_periodic_checks_match_oracle_on_enumerations(index):
         _assert_matches_oracle(seeds)
 
 
+# Every stride-th input: the oracle walks all five windows in full on each
+# configuration, about 0.1 s per E6 minus-window configuration.
+@pytest.mark.parametrize("family,rank,stride", [("D", 5, 8), ("E", 6, 40)])
+def test_periodic_checks_match_oracle_on_larger_enumerations(family, rank, stride):
+    rs = build_root_system(QuiverDescriptor.standard(family, rank))
+    inputs = (enumerate_kind(rs, "m-config-minus", 1)[::stride]
+              + enumerate_kind(rs, "m-cluster-tilting", 1)[::stride])
+    for seeds in inputs:
+        _assert_matches_oracle(seeds)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_periodic_checks_match_oracle_on_seed_sets(data):
@@ -223,3 +243,25 @@ def test_periodic_checks_match_oracle_on_seed_sets(data):
     cells = st.tuples(st.integers(0, len(rs.positive_roots) - 1), st.integers(-3, 3))
     picked = data.draw(st.lists(cells, min_size=1, max_size=rs.n, unique=True))
     _assert_matches_oracle(collection(DObj(rs, r, d) for r, d in picked))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_periodic_checks_match_oracle_on_orbit_duplicates(data):
+    # PeriodicConfig directly, so that an F-orbit holds two seeds: a member
+    # of one seed's orbit is then another seed.
+    rs = data.draw(st.sampled_from(_oracle_systems()))
+    cells = st.tuples(st.integers(0, len(rs.positive_roots) - 1), st.integers(-3, 3))
+    picked = data.draw(st.lists(cells, min_size=1, max_size=rs.n - 1, unique=True))
+    objs = [DObj(rs, r, d) for r, d in picked]
+    twin = f_power(data.draw(st.sampled_from(objs)),
+                   data.draw(st.sampled_from((-2, -1, 1, 2))))
+    _assert_matches_oracle(collection(objs + [twin]))
+
+
+def test_weyl_only_periodic_config_raises_like_oracle(b2):
+    p = PeriodicConfig(collection([DObj(b2, 0, 0), DObj(b2, 1, 0)]))
+    with pytest.raises(QuiverError, match="Weyl-only"):
+        is_combinatorial_configuration(p, PROBE)
+    for roots in ((0,), (0, 1)):
+        _assert_matches_oracle(collection(DObj(b2, r, 0) for r in roots))

@@ -229,6 +229,8 @@ def test_phi_validates_input(a2):
         phi(group, (group.identity, group.identity))
     with pytest.raises(ValueError):
         phi_inverse(group, collection([proj(a2, 1), simple(a2, 1)]), 1)
+    with pytest.raises(ValueError, match="Coxeter element"):
+        phi(group, ())
 
 
 @pytest.mark.parametrize("family,rank,ms", [
