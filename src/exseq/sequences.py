@@ -13,6 +13,7 @@ mutate(seq, i, ...) acts on the pair at positions (i, i+1).
 from __future__ import annotations
 
 import enum
+import random
 from typing import Iterable, Iterator
 
 from .derived import DObj, class_of, nonzero_exts, nu_inv, object_of_class, shift
@@ -181,29 +182,96 @@ def rotate(seq: ExcSeq) -> ExcSeq:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration at module level.
+# Complete sequences of modules over perpendicular categories.
 # ---------------------------------------------------------------------------
+#
+# After a prefix (E_1, ..., E_k) the terms that may follow are the
+# indecomposables Z with Hom(Z, E_i) = 0 = Ext^1(Z, E_i) for every i: the
+# perpendicular category of the prefix, a wide subcategory (Crawley-Boevey).
+# So the state of a search is one root bitmask, the AND of the masks
+# perp[x] of the prefix.
+
+def _all_roots(rs: RootSystemData) -> int:
+    """The mask of every root: the whole module category."""
+    return (1 << len(rs.positive_roots)) - 1
+
+
+def _perp_masks(rs: RootSystemData) -> tuple[int, ...]:
+    """Per root x, the mask of the roots z with Hom(M_z, M_x) = 0 and
+    Ext^1(M_z, M_x) = 0, read from the Hom-table columns."""
+    full = _all_roots(rs)
+    _, _, hom_cols, ext_cols = rs.hom_masks
+    return tuple(full & ~(h | e) for h, e in zip(hom_cols, ext_cols))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
 
 def _complete_sequences(rs: RootSystemData) -> Iterator[ExcSeq]:
     """Each complete exceptional sequence of modules, by depth-first search
     over the roots in stored order, yielded as soon as it is found."""
     modules = [DObj(rs, root, 0) for root in range(len(rs.positive_roots))]
+    perp = _perp_masks(rs)
 
-    def extend(seq: ExcSeq) -> Iterator[ExcSeq]:
+    def extend(seq: ExcSeq, allowed: int) -> Iterator[ExcSeq]:
         if len(seq) == rs.n:
             yield seq
             return
-        for cand in modules:
-            if not any(nonzero_exts(cand, e) for e in seq):
-                yield from extend(seq + (cand,))
+        for x in _bits(allowed):
+            yield from extend(seq + (modules[x],), allowed & perp[x])
 
-    return extend(())
+    return extend((), _all_roots(rs))
 
 
 def enumerate_complete_sequences(rs: RootSystemData) -> list[ExcSeq]:
-    """All complete exceptional sequences of modules, by depth-first search.
+    """All complete exceptional sequences of modules, by depth-first search
+    over perpendicular masks.
 
-    Independent of the mutation machinery; used as the counting oracle
-    (A2 gives 3, A3 gives 16, D4 gives 162).
+    Independent of the mutation machinery (A2 gives 3, A3 gives 16, D4
+    gives 162).
     """
     return list(_complete_sequences(rs))
+
+
+def _sequence_counts(rs: RootSystemData) -> dict[int, int]:
+    """The number of complete exceptional sequences of each perpendicular
+    category the search reaches, keyed by its root mask:
+    count(S) = sum over x in S of count(S & perp[x]), count(0) = 1.  The
+    whole module category is _all_roots(rs)."""
+    perp = _perp_masks(rs)
+    memo = {0: 1}
+
+    def count(allowed: int) -> int:
+        if allowed not in memo:
+            memo[allowed] = sum(count(allowed & perp[x]) for x in _bits(allowed))
+        return memo[allowed]
+
+    count(_all_roots(rs))
+    return memo
+
+
+def _sample_complete_sequences(rs: RootSystemData, counts: dict[int, int],
+                               size: int, seed: int) -> Iterator[ExcSeq]:
+    """size complete exceptional sequences of modules, drawn independently
+    and uniformly from a random.Random(seed): each term x of the
+    perpendicular category S is taken with probability
+    count(S & perp[x]) / count(S), where counts is _sequence_counts(rs)."""
+    modules = [DObj(rs, root, 0) for root in range(len(rs.positive_roots))]
+    perp = _perp_masks(rs)
+    rng = random.Random(seed)
+    for _ in range(size):
+        seq, allowed = (), _all_roots(rs)
+        while allowed:
+            pick = rng.randrange(counts[allowed])
+            for x in _bits(allowed):
+                pick -= counts[allowed & perp[x]]
+                if pick < 0:
+                    break
+            seq += (modules[x],)
+            allowed &= perp[x]
+        yield seq

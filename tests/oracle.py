@@ -4,7 +4,9 @@ Hom and Ext^1 are computed from explicit matrix representations by exact
 linear algebra over the rationals, the library's Hom table is compared with
 the Serre-duality recursion it once used, the enumeration graph with the
 pairwise Ext predicates it once called, and its clique search with the
-plain depth-first search.  The positive roots are compared with the
+plain depth-first search.  The perpendicular-mask search for complete
+exceptional sequences is compared with the search that tests each candidate
+against each term of its prefix.  The positive roots are compared with the
 closure of the simples under all simple reflections.  Reflection length
 comes from breadth-first search in the Cayley graph, a wide subcategory from
 the perpendicular of a completed exceptional sequence and its simples from a
@@ -329,6 +331,27 @@ def cayley_abs_lengths(group: WeylGroup) -> dict:
                     nxt.append(new)
         frontier = nxt
     return dist
+
+
+# ---------------------------------------------------------------------------
+# Complete sequences by pairwise search.
+# ---------------------------------------------------------------------------
+
+def complete_sequences_pairwise(rs: RootSystemData) -> list[ExcSeq]:
+    """Every complete exceptional sequence of modules, by depth-first search
+    over the roots in stored order, testing each candidate against each
+    term of the prefix with nonzero_exts."""
+    modules = [DObj(rs, root, 0) for root in range(len(rs.positive_roots))]
+
+    def extend(seq: ExcSeq):
+        if len(seq) == rs.n:
+            yield seq
+            return
+        for cand in modules:
+            if not any(nonzero_exts(cand, e) for e in seq):
+                yield from extend(seq + (cand,))
+
+    return list(extend(()))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from exseq import (
 from exseq import cli
 from exseq.cli import _objects_chunks, main
 from exseq.derived import obj_to_dict
+from exseq.sequences import _sample_complete_sequences, _sequence_counts
 from exseq.silting import collection_to_list
 from exseq.weyl import nc_to_dict
 
@@ -380,6 +381,8 @@ def test_verify_checks_complete_sequence_count(capsys, qtype, count):
                  if c["name"] == "count complete exceptional sequences")
     assert check == {"name": "count complete exceptional sequences",
                      "expected": count, "actual": count, "passed": True}
+    # Every sequence is checked: no check names a sample.
+    assert not any("sample" in c for c in payload["checks"])
 
 
 def test_nc_m_zero_is_the_coxeter_element(capsys):
@@ -521,6 +524,62 @@ def test_verify_checks_each_sequence_as_it_is_found(capsys, monkeypatch):
     # Equal roots: verify builds its own root system, so the objects differ.
     assert ([[x.root for x in seq] for seq in found]
             == [[x.root for x in seq] for seq in A3_SEQUENCES])
+
+
+def verify_sampled(capsys, monkeypatch, qtype, size=None):
+    """Run verify on standard qtype/1 with every complete sequence count
+    above the exhaustive limit; the exit code and the checks by name."""
+    monkeypatch.setattr(cli, "_EXHAUSTIVE_LIMIT", 0)
+    if size is not None:
+        monkeypatch.setattr(cli, "_SAMPLE_SIZE", size)
+    code, payload = run(capsys, "verify", "--type", qtype, "--m", "1")
+    assert capsys.readouterr().err == ""
+    return code, {c["name"]: c for c in payload["checks"]}
+
+
+def a3_sample():
+    return list(_sample_complete_sequences(
+        A3, _sequence_counts(A3), cli._SAMPLE_SIZE, cli._SAMPLE_SEED))
+
+
+@pytest.mark.parametrize("qtype,size,count", [("A3", None, 16), ("D4", 200, 162)])
+def test_verify_sampled_run_reports_its_sample(capsys, monkeypatch, qtype, size, count):
+    laws = CallLog(monkeypatch, "_sequence_laws")
+    code, checks = verify_sampled(capsys, monkeypatch, qtype, size)
+    assert code == 0
+    assert checks["count complete exceptional sequences"]["actual"] == count
+    law = checks["mu_rev^2 = nu^{-1} and inverse law"]
+    assert law["sample"] == {"seed": cli._SAMPLE_SEED, "size": cli._SAMPLE_SIZE}
+    assert laws.calls == cli._SAMPLE_SIZE
+    # Only the sampled check carries the seed and the size.
+    assert [name for name, c in checks.items() if "sample" in c] == [law["name"]]
+
+
+def test_verify_sample_is_deterministic(capsys, monkeypatch):
+    drawn = []
+
+    def laws(seq):
+        drawn.append([x.root for x in seq])
+        return True
+
+    monkeypatch.setattr(cli, "_sequence_laws", laws)
+    verify_sampled(capsys, monkeypatch, "A3")
+    first, drawn[:] = drawn[:], []
+    verify_sampled(capsys, monkeypatch, "A3")
+    assert drawn == first == [[x.root for x in seq] for seq in a3_sample()]
+    assert {tuple(seq) for seq in first} <= {tuple(x.root for x in seq)
+                                             for seq in A3_SEQUENCES}
+
+
+@pytest.mark.parametrize("k", [0, 7, 1999])
+def test_verify_sampled_laws_report_kth_draw(capsys, monkeypatch, k):
+    # mu_rev runs twice per sequence: call 2k is the k-th draw's first.
+    CallLog(monkeypatch, "mu_rev", raise_at(2 * k))
+    code, checks = verify_sampled(capsys, monkeypatch, "A3")
+    assert code == 1
+    failed_only(checks, "mu_rev^2 = nu^{-1} and inverse law")
+    assert (checks["mu_rev^2 = nu^{-1} and inverse law"]["counterexample"]
+            == [obj_to_dict(x) for x in a3_sample()[k]])
 
 
 RAW_LAYOUT_CASES = [

@@ -1,20 +1,25 @@
 """Mutation calculus: exceptionality, mutation, mu_rev, completion."""
 import random
+from collections import Counter
+from math import factorial
 
 import pytest
 
 from exseq import (
     DObj, MutationSign, QuiverDescriptor, build_root_system, class_of,
-    enumerate_complete_sequences, ext_dim, is_exceptional, mu_rev,
-    mu_rev_inverse, mutate, nu_inv, proj, reflect, rotate, shift, simple,
+    enumerate_complete_sequences, ext_dim, fuss_catalan, generate_weyl,
+    is_exceptional, mu_rev, mu_rev_inverse, mutate, nu_inv, proj, reflect,
+    rotate, shift, simple,
 )
 from exseq import sequences
-from exseq.derived import nonzero_exts
 from exseq.sequences import (
-    _complete_sequences, mu_rev_order, mu_rev_order_alt, mu_rev_steps,
+    _all_roots, _complete_sequences, _sample_complete_sequences, _sequence_counts,
+    mu_rev_order, mu_rev_order_alt, mu_rev_steps,
 )
 
-from oracle import complete_sequence
+from oracle import (
+    admissible_quivers, complete_sequence, complete_sequences_pairwise, seeded_quiver,
+)
 
 
 def test_is_exceptional_a2(a2):
@@ -218,19 +223,82 @@ def test_complete_sequence_list_is_the_search_in_order(arrows):
 
 
 def test_complete_sequence_search_yields_before_it_finishes(monkeypatch, d4):
-    calls = []
+    visited = []
+    bits = sequences._bits
 
-    def counted(x, y):
-        calls.append(1)
-        return nonzero_exts(x, y)
+    def counted(mask):
+        for x in bits(mask):
+            visited.append(x)
+            yield x
 
-    monkeypatch.setattr(sequences, "nonzero_exts", counted)
+    monkeypatch.setattr(sequences, "_bits", counted)
     search = _complete_sequences(d4)
     first = next(search)
-    to_first = len(calls)
+    to_first = len(visited)
     assert sum(1 for _ in search) == 161
+    # One candidate per term: the first sequence takes the least root each time.
+    assert to_first == d4.n < len(visited) / 50
     assert first == enumerate_complete_sequences(d4)[0]
-    assert 0 < to_first < len(calls) / 100
+
+
+# Every admissible orientation of the small types, seeded ones of rank 5.
+SEARCH_QUIVERS = ([q for family, rank in (("A", 2), ("A", 3), ("A", 4), ("D", 4))
+                   for q in admissible_quivers(family, rank)]
+                  + [seeded_quiver("A", 5, 21), seeded_quiver("D", 5, 22)])
+
+
+@pytest.mark.parametrize("quiver", SEARCH_QUIVERS,
+                         ids=lambda q: f"{q.family}{q.rank}-{q.arrows}")
+def test_mask_search_matches_pairwise_oracle(quiver):
+    rs = build_root_system(quiver)
+    assert enumerate_complete_sequences(rs) == complete_sequences_pairwise(rs)
+
+
+@pytest.mark.parametrize("family,rank", [
+    *(("A", r) for r in range(1, 9)), *(("D", r) for r in range(4, 9)),
+    ("E", 6), ("E", 7), ("E", 8),
+])
+def test_sequence_count_is_the_closed_form(family, rank):
+    # Obaid-Nauman-Al-Shammakh-Fakieh-Ringel: n! h^n / |W| sequences.  The
+    # states are the wide subcategories, as many as elements of [1, c].
+    for quiver in (QuiverDescriptor.standard(family, rank),
+                   seeded_quiver(family, rank, 100 + rank)):
+        rs = build_root_system(quiver)
+        counts = _sequence_counts(rs)
+        assert counts[_all_roots(rs)] == (factorial(rs.n) * rs.coxeter_number ** rs.n
+                                          // rs.weyl_order()), quiver
+        assert len(counts) == fuss_catalan(rs, 1), quiver
+
+
+# The states of the count are the perpendicular categories of exceptional
+# sequences of modules: the wide subcategories, one per element of [1, c].
+@pytest.mark.parametrize("family,rank,every_orientation", [
+    *(("A", r, True) for r in range(1, 6)), ("D", 4, True), ("D", 5, True),
+    ("A", 6, False), ("D", 6, False), ("E", 6, False),
+])
+def test_count_states_are_the_wide_subcategories(family, rank, every_orientation):
+    quivers = (admissible_quivers(family, rank) if every_orientation
+               else [QuiverDescriptor.standard(family, rank)])
+    for quiver in quivers:
+        rs = build_root_system(quiver)
+        group = generate_weyl(rs)
+        assert set(_sequence_counts(rs)) == {group._wide_mask(u)
+                                             for u in group.elements}, quiver
+
+
+def test_sample_is_seeded_and_draws_complete_sequences(a3, d4):
+    for rs in (a3, d4):
+        counts = _sequence_counts(rs)
+        draws = list(_sample_complete_sequences(rs, counts, 300, 5))
+        assert draws == list(_sample_complete_sequences(rs, counts, 300, 5))
+        assert draws != list(_sample_complete_sequences(rs, counts, 300, 6))
+        assert set(draws) <= set(complete_sequences_pairwise(rs))
+
+
+def test_sample_is_uniform_a3(a3):
+    draws = Counter(_sample_complete_sequences(a3, _sequence_counts(a3), 16_000, 3))
+    assert set(draws) == set(complete_sequences_pairwise(a3))
+    assert all(800 <= k <= 1200 for k in draws.values()), draws
 
 
 def test_a2_sequences_by_hand(a2):
