@@ -25,7 +25,7 @@ from .silting import (
     silting_to_config,
 )
 from .weyl import (
-    NCTuple, WeylGroup, abs_length, coxeter_element, enumerate_m_nc,
+    NCTuple, WeylGroup, coxeter_element, enumerate_m_nc,
     generate_weyl, phi, phi_inverse, reflection_factorizations,
     reflection_matrix, reflection_of_object, sequence_reflection_product,
 )

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 DimVector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -68,28 +69,6 @@ def mat_transpose(m: IntMatrix) -> IntMatrix:
 
 def mat_neg(m: IntMatrix) -> IntMatrix:
     return tuple(tuple(-x for x in row) for row in m)
-
-
-def null_space(m: IntMatrix) -> list[DimVector]:
-    """A basis of the kernel {x : m x = 0} of an integer matrix, as integer
-    vectors.  Bareiss fraction-free elimination reduces [m^T | I]; the rows
-    whose m^T part becomes zero carry a kernel basis in their I part."""
-    k, n = len(m), len(m[0])
-    rows = [[m[i][j] for i in range(k)] + [int(i == j) for i in range(n)]
-            for j in range(n)]
-    rank, prev = 0, 1
-    for col in range(k):
-        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for r in range(rank + 1, n):
-            # Exact: every entry is a minor of [m^T | I] (Bareiss).
-            rows[r] = [(top[col] * x - rows[r][col] * y) // prev
-                       for x, y in zip(rows[r], top)]
-        rank, prev = rank + 1, top[col]
-    return [tuple(row[k:]) for row in rows[rank:]]
 
 
 _NONZERO = bytes([48] + [49] * 255)    # byte 0 -> "0", any other -> "1"
@@ -602,6 +581,31 @@ def sym_form(rs: RootSystemData, d: DimVector, e: DimVector) -> int:
     return sum(
         d[i] * rs.sym_matrix[i][j] * e[j] for i in range(rs.n) for j in range(rs.n)
     )
+
+
+def perp_masks(rs: RootSystemData) -> tuple[int, ...]:
+    """Per root x, the bitmask of the roots y with <y, x> = y^T L x = 0, L
+    the symmetrizers plus the strictly upper part of sym_matrix.  For A, D,
+    E, L is the Euler matrix, <y, x> = dim Hom(M_y, M_x) - dim Ext^1(M_y,
+    M_x), and in Dynkin type the two are never both nonzero: the mask holds
+    the terms that may follow x in an exceptional sequence.  For B, C, F, G,
+    L is the Euler form of the species with Coxeter element s_1 ... s_n.
+    Computed on each call (E8 about 20 ms), not at construction.
+
+    >>> rs = build_root_system(QuiverDescriptor.standard("A", 2))
+    >>> [bin(mask) for mask in perp_masks(rs)]
+    ['0b10', '0b100', '0b1']
+    """
+    n = rs.n
+    form = [[rs.symmetrizers[i] if i == j else rs.sym_matrix[i][j] * (i < j)
+             for j in range(n)] for i in range(n)]
+    roots = rs.positive_roots
+    masks = []
+    for x in roots:
+        lx = mat_vec(form, x)
+        masks.append(sum(1 << k for k, y in enumerate(roots)
+                         if not sum(map(mul, y, lx))))
+    return tuple(masks)
 
 
 def reflect(rs: RootSystemData, x: DimVector, v: DimVector) -> DimVector:

@@ -17,7 +17,7 @@ import random
 from typing import Iterable, Iterator
 
 from .derived import DObj, class_of, nonzero_exts, nu_inv, object_of_class, shift
-from .roots import RootSystemData, vec_scale, vec_sub
+from .roots import RootSystemData, perp_masks, vec_scale, vec_sub
 
 ExcSeq = tuple[DObj, ...]
 
@@ -189,19 +189,11 @@ def rotate(seq: ExcSeq) -> ExcSeq:
 # indecomposables Z with Hom(Z, E_i) = 0 = Ext^1(Z, E_i) for every i: the
 # perpendicular category of the prefix, a wide subcategory (Crawley-Boevey).
 # So the state of a search is one root bitmask, the AND of the masks
-# perp[x] of the prefix.
+# perp[x] of the prefix, which roots.perp_masks reads off the Euler form.
 
 def _all_roots(rs: RootSystemData) -> int:
     """The mask of every root: the whole module category."""
     return (1 << len(rs.positive_roots)) - 1
-
-
-def _perp_masks(rs: RootSystemData) -> tuple[int, ...]:
-    """Per root x, the mask of the roots z with Hom(M_z, M_x) = 0 and
-    Ext^1(M_z, M_x) = 0, read from the Hom-table columns."""
-    full = _all_roots(rs)
-    _, _, hom_cols, ext_cols = rs.hom_masks
-    return tuple(full & ~(h | e) for h, e in zip(hom_cols, ext_cols))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -216,7 +208,7 @@ def _complete_sequences(rs: RootSystemData) -> Iterator[ExcSeq]:
     """Each complete exceptional sequence of modules, by depth-first search
     over the roots in stored order, yielded as soon as it is found."""
     modules = [DObj(rs, root, 0) for root in range(len(rs.positive_roots))]
-    perp = _perp_masks(rs)
+    perp = perp_masks(rs)
 
     def extend(seq: ExcSeq, allowed: int) -> Iterator[ExcSeq]:
         if len(seq) == rs.n:
@@ -243,7 +235,7 @@ def _sequence_counts(rs: RootSystemData) -> dict[int, int]:
     category the search reaches, keyed by its root mask:
     count(S) = sum over x in S of count(S & perp[x]), count(0) = 1.  The
     whole module category is _all_roots(rs)."""
-    perp = _perp_masks(rs)
+    perp = perp_masks(rs)
     memo = {0: 1}
 
     def count(allowed: int) -> int:
@@ -262,7 +254,7 @@ def _sample_complete_sequences(rs: RootSystemData, counts: dict[int, int],
     perpendicular category S is taken with probability
     count(S & perp[x]) / count(S), where counts is _sequence_counts(rs)."""
     modules = [DObj(rs, root, 0) for root in range(len(rs.positive_roots))]
-    perp = _perp_masks(rs)
+    perp = perp_masks(rs)
     rng = random.Random(seed)
     for _ in range(size):
         seq, allowed = (), _all_roots(rs)

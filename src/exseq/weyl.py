@@ -4,22 +4,24 @@ Group elements are integer matrices acting on the simple-root basis of K_0
 (column convention).  An m-noncrossing partition is an (m+1)-tuple of
 elements whose product is the Coxeter element c with additive absolute
 lengths.  Each element u of [1, c] carries its wide subcategory
-W(u) = {X : t_X <= u} as a bitmask over the positive roots, so absolute-order
-questions on [1, c] are mask tests.  phi sends a partition to a
+W(u) = {X : t_X <= u} as a bitmask over the positive roots, and W(u)
+determines u, so questions on [1, c] walk masks, not matrices.  phi sends a
+partition to a
 configuration by reading the simples of each W(u) off the Hom table and
 placing them in degrees m, ..., 0.
 """
 from __future__ import annotations
 
 from functools import reduce
+from operator import and_, mul
 from typing import Iterable, Iterator
 
 from .derived import DObj, _require_categorical
 from .roots import (
     DimVector, IntMatrix, RootSystemData, fuss_catalan, mat_identity, mat_mul,
-    mat_vec, null_space,
+    perp_masks,
 )
-from .sequences import MutationError
+from .sequences import MutationError, _bits
 from .silting import DCollection, collection, is_m_config, order_config
 
 WeylElt = IntMatrix
@@ -56,34 +58,23 @@ def coxeter_element(rs: RootSystemData) -> WeylElt:
                   mat_identity(rs.n))
 
 
-def abs_length(rs: RootSystemData, w: WeylElt) -> int:
-    """The reflection length of w, computed exactly as n - dim ker(w - id)."""
-    return rs.n - len(_fixed_space(w))
-
-
-def _fixed_space(w: WeylElt) -> list[DimVector]:
-    """A basis of Fix(w) = ker(w - id)."""
-    n = len(w)
-    return null_space([[w[i][j] - (i == j) for j in range(n)] for i in range(n)])
-
-
 class WeylGroup:
     """The noncrossing interval [1, c] of a Weyl group, with its reflections
     and Coxeter element c = s_1 ... s_n.
 
     [1, c] holds the elements below c in the absolute order; it has the
     Catalan number fuss_catalan(rs, 1) of elements, far fewer than the
-    group.  It is built by descent from c: t.u lies below u exactly when
-    the root of t is orthogonal to Fix(u) (Bessis; Brady-Watt), and every
-    element below c is reached this way.  Each element carries its
-    absolute length, its inverse and its wide mask: the bitmask of the
-    roots that pass that test, which are the reflections t <= u and the
-    indecomposables of the wide subcategory W(u) (Ingalls-Thomas).  So
-    every query on [1, c] is a lookup, and u <= v exactly when the mask of
-    u is contained in the mask of v.  For the A, D, E families it also keeps,
-    for each root x, the mask of the other roots y with a nonzero map
-    M_y -> M_x and dim M_y <= dim M_x, read off the Hom table; phi reads the
-    simples of each W(u) from these.
+    group.  Each element u carries its absolute length and its wide mask,
+    the roots of the reflections t <= u: the indecomposables of the wide
+    subcategory W(u), which determines u (Ingalls-Thomas).  u <= v exactly
+    when the mask of u lies in the mask of v.  The interval is found by
+    descent from (c, every root): below u lie the t_x.u for x in W(u), with
+    W(t_x.u) = W(u) & perp[x] (roots.perp_masks), as the terms after x in
+    an exceptional sequence lie in its perpendicular category.  A new mask
+    costs one rank-one update of u.  For the A, D, E families the group
+    also keeps, for each root x, the mask of the other roots y with a
+    nonzero map M_y -> M_x and dim M_y <= dim M_x, read off the Hom table;
+    phi reads the simples of each W(u) from these.
     """
 
     def __init__(self, rs: RootSystemData):
@@ -96,43 +87,30 @@ class WeylGroup:
         if len(set(self.reflections)) != len(rs.positive_roots):
             raise MutationError("reflections along distinct roots coincide")
         self.coxeter: WeylElt = coxeter_element(rs)
-        c_inv = reduce(mat_mul, reversed(self.reflections[:n]), self.identity)
+        self._perp = perp = perp_masks(rs)
+        self._coroots = tuple(_coroot(rs, r) for r in range(len(rs.positive_roots)))
 
-        coroots = [_coroot(rs, r) for r in range(len(rs.positive_roots))]
-
-        interval = {self.coxeter: (n, c_inv)}
-        masks = {self.identity: 0}
-        level = [self.coxeter]
+        full = (1 << len(rs.positive_roots)) - 1
+        self._by_mask: dict[int, WeylElt] = {full: self.coxeter}
+        interval = {self.coxeter: (n, full)}
+        level = [(self.coxeter, full)]
         for length in range(n - 1, -1, -1):
             below = []
-            for u in level:
-                u_inv = interval[u][1]
-                normals = [mat_vec(rs.sym_matrix, f) for f in _fixed_space(u)]
-                mask = 0
-                for r, (alpha, beta) in enumerate(zip(rs.positive_roots, coroots)):
-                    if any(sum(a * g for a, g in zip(alpha, normal))
-                           for normal in normals):
+            for u, mask in level:
+                for x in _bits(mask):
+                    child = mask & perp[x]
+                    if child in self._by_mask:
                         continue
-                    mask |= 1 << r
-                    # t = id - alpha beta^T, so t.u = u - alpha (beta^T u) and
-                    # u^-1.t = u^-1 - (u^-1 alpha) beta^T: rank-one updates.
-                    bu = [sum(b * x for b, x in zip(beta, col)) for col in zip(*u)]
-                    tu = tuple(tuple(x - a * y for x, y in zip(row, bu))
-                               for a, row in zip(alpha, u))
-                    if tu not in interval:
-                        ua = mat_vec(u_inv, alpha)
-                        interval[tu] = (length, tuple(
-                            tuple(x - c * b for x, b in zip(row, beta))
-                            for c, row in zip(ua, u_inv)))
-                        below.append(tu)
-                masks[u] = mask
+                    tu = self._reflect(x, u)
+                    self._by_mask[child] = tu
+                    interval[tu] = (length, child)
+                    below.append((tu, child))
             level = below
         expected = fuss_catalan(rs, 1)
-        if len(interval) != expected:
-            raise MutationError(
-                f"descent from c found {len(interval)} elements, expected {expected}"
-            )
-        self._interval = {w: entry + (masks[w],) for w, entry in interval.items()}
+        if len(interval) != expected or len(self._by_mask) != expected:
+            raise MutationError(f"descent from c found {len(interval)} elements, "
+                                f"expected {expected}")
+        self._interval = interval
         self.elements: tuple[WeylElt, ...] = tuple(sorted(interval))
 
         self._subobjects: tuple[int, ...] | None = None
@@ -144,18 +122,23 @@ class WeylGroup:
                     if y != x and hom[y][x] and h <= heights[x])
                 for x in range(len(heights)))
 
-    def inverse(self, w: WeylElt) -> WeylElt:
-        """The inverse of an element of [1, c]."""
-        return self._interval[w][1]
+    def _reflect(self, r: int, u: WeylElt) -> WeylElt:
+        """t.u for the reflection t = id - alpha beta^T along root r: the
+        rank-one update u - alpha (beta^T u)."""
+        bu = [sum(map(mul, self._coroots[r], col)) for col in zip(*u)]
+        return tuple(tuple(y - a * z for y, z in zip(row, bu))
+                     for a, row in zip(self.rs.positive_roots[r], u))
 
     def _wide_mask(self, w: WeylElt) -> int:
         """The roots of W(w) = {X : t_X <= w}, as a bitmask; w in [1, c]."""
-        return self._interval[w][2]
+        return self._interval[w][1]
 
     def abs_length(self, w: WeylElt) -> int:
-        """The reflection length: a lookup on [1, c], computed off it."""
-        entry = self._interval.get(w)
-        return abs_length(self.rs, w) if entry is None else entry[0]
+        """The reflection length of an element of [1, c]; ValueError off it."""
+        if w not in self._interval:
+            raise ValueError("element is not below the Coxeter element in "
+                             "absolute order")
+        return self._interval[w][0]
 
     def below_coxeter(self, w: WeylElt) -> bool:
         """Whether w lies below c in the absolute order."""
@@ -176,20 +159,22 @@ def enumerate_m_nc(group: WeylGroup, m: int) -> list[NCTuple]:
     if m < 0:
         raise ValueError("m must be non-negative")
     out: list[NCTuple] = []
-    entries = [(u, u_inv, mask) for u, (_, u_inv, mask) in group._interval.items()]
+    full = group._wide_mask(group.coxeter)
+    # Per u, the mask of the perpendicular category of all of W(u).
+    entries = [(u, mask, reduce(and_, map(group._perp.__getitem__, _bits(mask)), full))
+               for u, (_, mask) in group._interval.items()]
 
-    def split(v: WeylElt, parts: int, prefix: tuple[WeylElt, ...]) -> None:
+    def split(v_mask: int, parts: int, prefix: tuple[WeylElt, ...]) -> None:
         if parts == 1:
-            out.append(prefix + (v,))
+            out.append(prefix + (group._by_mask[v_mask],))
             return
-        v_mask = group._wide_mask(v)
-        for u, u_inv, mask in entries:
-            # u <= v exactly when W(u) lies in W(v), and then u^-1 v is the
-            # T-reduced cofactor of u in v.
+        for u, mask, u_perp in entries:
+            # u <= v exactly when W(u) lies in W(v), and then the T-reduced
+            # cofactor u^-1 v has W(u^-1 v) = W(v) & the perpendicular of W(u).
             if not mask & ~v_mask:
-                split(mat_mul(u_inv, v), parts - 1, prefix + (u,))
+                split(v_mask & u_perp, parts - 1, prefix + (u,))
 
-    split(group.coxeter, m + 1, ())
+    split(full, m + 1, ())
     out.sort()
     return out
 
@@ -202,24 +187,32 @@ def reflection_factorizations(group: WeylGroup, w: WeylElt,
     """
     if not group.below_coxeter(w):
         raise ValueError("element is not below the Coxeter element in absolute order")
-    words = _factorization_words(group, w)
+    words = _factorization_words(group, group._wide_mask(w))
     if first_only:
         return [next(words)]
     return list(words)
 
 
-def _factorization_words(group: WeylGroup, w: WeylElt) -> Iterator[tuple[int, ...]]:
-    """The T-reduced words for w in [1, c], in lexicographic order of root
-    indices.  A word may start with t exactly when t <= w, which is when
-    t's root is in the wide mask of w."""
-    mask = group._wide_mask(w)
+def _factorization_words(group: WeylGroup, mask: int) -> Iterator[tuple[int, ...]]:
+    """The T-reduced words for the element of [1, c] with wide mask `mask`,
+    in lexicographic order of root indices.  A word may start with t_r
+    exactly when t_r <= w, which is when r is in the mask, and the rest is
+    a word for t_r.w, whose mask is mask & perp[r]."""
     if not mask:
         yield ()
         return
-    for r, t in enumerate(group.reflections):
-        if mask >> r & 1:
-            for tail in _factorization_words(group, mat_mul(t, w)):
-                yield (r,) + tail
+    for r in _bits(mask):
+        for tail in _factorization_words(group, mask & group._perp[r]):
+            yield (r,) + tail
+
+
+def _word_product(group: WeylGroup, word: list[int]) -> WeylElt:
+    """The product of the reflections along a word of root indices, by
+    rank-one updates from the right; the identity for the empty word."""
+    u = group.reflections[word[-1]] if word else group.identity
+    for r in reversed(word[:-1]):
+        u = group._reflect(r, u)
+    return u
 
 
 def reflection_of_object(x: DObj) -> WeylElt:
@@ -242,7 +235,10 @@ def sequence_reflection_product(seq: Iterable[DObj]) -> WeylElt:
 def _validate_nc(group: WeylGroup, parts: NCTuple) -> None:
     if not parts or reduce(mat_mul, parts) != group.coxeter:
         raise ValueError("tuple does not multiply to the Coxeter element")
-    if sum(group.abs_length(u) for u in parts) != group.rs.n:
+    # A factor of a T-reduced factorization of c lies below c (Hurwitz
+    # moves bring it to the front), so a part off [1, c] gets this verdict.
+    if (not all(map(group.below_coxeter, parts))
+            or sum(map(group.abs_length, parts)) != group.rs.n):
         raise ValueError("tuple is not T-reduced: lengths do not add to the rank")
 
 
@@ -294,8 +290,8 @@ def phi_inverse(group: WeylGroup, col: DCollection, m: int) -> NCTuple:
     parts = []
     for i in range(1, m + 2):
         chunk = [x for x in seq if x.degree == m + 1 - i]
-        u = reduce(mat_mul, map(reflection_of_object, chunk), group.identity)
-        if group.abs_length(u) != len(chunk):
+        u = _word_product(group, [x.root for x in chunk])
+        if not group.below_coxeter(u) or group.abs_length(u) != len(chunk):
             raise MutationError("chunk product is not T-reduced")
         parts.append(u)
     result = tuple(parts)
@@ -327,6 +323,5 @@ def nc_from_dict(group: WeylGroup, data: dict) -> NCTuple:
     except (KeyError, TypeError):
         raise ValueError(f"noncrossing record {data!r} is not of the form "
                          '{"reflection_words": [[root, ...], ...]}') from None
-    words = [[rs.root_of(dim) for dim in word] for word in words]
-    return tuple(reduce(mat_mul, (reflection_matrix(rs, r) for r in word),
-                        group.identity) for word in words)
+    return tuple(_word_product(group, [rs.root_of(dim) for dim in word])
+                 for word in words)

@@ -8,7 +8,10 @@ plain depth-first search.  The perpendicular-mask search for complete
 exceptional sequences is compared with the search that tests each candidate
 against each term of its prefix.  The positive roots are compared with the
 closure of the simples under all simple reflections.  Reflection length
-comes from breadth-first search in the Cayley graph, a wide subcategory from
+comes from breadth-first search in the Cayley graph and from the fixed space
+of an element, the interval [1, c] and its wide masks from a descent that
+tests each root against the fixed space, the perpendicular masks from the
+Hom-table columns, a wide subcategory from
 the perpendicular of a completed exceptional sequence and its simples from a
 subset-sum search over dimension vectors, and Fac-torsion membership from
 checking that the joint image of all homomorphisms covers the target
@@ -30,11 +33,12 @@ from exseq.derived import (
 )
 from exseq.riedtmann import PeriodicConfig
 from exseq.roots import (
-    DimVector, QuiverDescriptor, QuiverError, RootSystemData, coxeter_transform,
+    DimVector, IntMatrix, QuiverDescriptor, QuiverError, RootSystemData,
+    coxeter_transform, mat_vec,
 )
 from exseq.sequences import ExcSeq, MutationError, is_exceptional
 from exseq.silting import DCollection, collection, is_hom_leq0_config
-from exseq.weyl import WeylGroup, mat_mul
+from exseq.weyl import WeylGroup, coxeter_element, mat_mul, reflection_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +335,83 @@ def cayley_abs_lengths(group: WeylGroup) -> dict:
                     nxt.append(new)
         frontier = nxt
     return dist
+
+
+# ---------------------------------------------------------------------------
+# The interval [1, c] by fixed spaces.
+# ---------------------------------------------------------------------------
+
+def null_space(m: IntMatrix) -> list[DimVector]:
+    """A basis of the kernel {x : m x = 0} of an integer matrix, as integer
+    vectors.  Bareiss fraction-free elimination reduces [m^T | I]; the rows
+    whose m^T part becomes zero carry a kernel basis in their I part."""
+    k, n = len(m), len(m[0])
+    rows = [[m[i][j] for i in range(k)] + [int(i == j) for i in range(n)]
+            for j in range(n)]
+    rank, prev = 0, 1
+    for col in range(k):
+        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, n):
+            # Exact: every entry is a minor of [m^T | I] (Bareiss).
+            rows[r] = [(top[col] * x - rows[r][col] * y) // prev
+                       for x, y in zip(rows[r], top)]
+        rank, prev = rank + 1, top[col]
+    return [tuple(row[k:]) for row in rows[rank:]]
+
+
+def abs_length(rs: RootSystemData, w: IntMatrix) -> int:
+    """The reflection length of w, computed exactly as n - dim ker(w - id)."""
+    return rs.n - len(_fixed_space(w))
+
+
+def _fixed_space(w: IntMatrix) -> list[DimVector]:
+    """A basis of Fix(w) = ker(w - id)."""
+    n = len(w)
+    return null_space([[w[i][j] - (i == j) for j in range(n)] for i in range(n)])
+
+
+def fixed_space_interval(rs: RootSystemData) -> dict[IntMatrix, tuple[int, int]]:
+    """[1, c] as {u: (absolute length, wide mask)}, by descent from c: t.u
+    lies below u exactly when the root of t is orthogonal to Fix(u) (Bessis;
+    Brady-Watt), and the roots that pass form the mask of u."""
+    reflections = [reflection_matrix(rs, r) for r in range(len(rs.positive_roots))]
+    c = coxeter_element(rs)
+    lengths = {c: rs.n}
+    interval = {}
+    level = [c]
+    while level:
+        below = []
+        for u in level:
+            normals = [mat_vec(rs.sym_matrix, f) for f in _fixed_space(u)]
+            mask = 0
+            for r, alpha in enumerate(rs.positive_roots):
+                if any(sum(a * g for a, g in zip(alpha, normal))
+                       for normal in normals):
+                    continue
+                mask |= 1 << r
+                tu = mat_mul(reflections[r], u)
+                if tu not in lengths:
+                    lengths[tu] = lengths[u] - 1
+                    below.append(tu)
+            interval[u] = (lengths[u], mask)
+        level = below
+    return interval
+
+
+# ---------------------------------------------------------------------------
+# Perpendicular masks from the Hom table.
+# ---------------------------------------------------------------------------
+
+def hom_perp_masks(rs: RootSystemData) -> tuple[int, ...]:
+    """Per root x, the mask of the roots z with Hom(M_z, M_x) = 0 and
+    Ext^1(M_z, M_x) = 0, read from the Hom-table columns."""
+    full = (1 << len(rs.positive_roots)) - 1
+    _, _, hom_cols, ext_cols = rs.hom_masks
+    return tuple(full & ~(h | e) for h, e in zip(hom_cols, ext_cols))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import exseq
 PUBLIC_NAMES = [
     'DCollection', 'DObj', 'ExcSeq', 'MutationError', 'MutationSign',
     'NCTuple', 'PeriodicConfig', 'QuiverDescriptor', 'QuiverError',
-    'RootSystemData', 'WeylGroup', 'WindowSpec', 'abs_length',
+    'RootSystemData', 'WeylGroup', 'WindowSpec',
     'build_root_system', 'check_negative_mutation_invariance', 'class_of',
     'collection', 'config_to_riedtmann', 'config_to_silting',
     'coxeter_element', 'coxeter_transform', 'derived',
@@ -41,7 +41,6 @@ SIGNATURES = {
     'WindowSpec':
         "(lo: 'int', hi: 'int', plus_injectives: 'bool' = False, "
         "minus_projectives: 'bool' = False) -> None",
-    'abs_length': "(rs: 'RootSystemData', w: 'WeylElt') -> 'int'",
     'build_root_system': "(q: 'QuiverDescriptor') -> 'RootSystemData'",
     'check_negative_mutation_invariance':
         "(seq: 'ExcSeq', i: 'int', w: 'WindowSpec') -> 'bool'",

@@ -179,6 +179,21 @@ def test_biject_nc_to_config_rejects_wrong_m(capsys, tmp_path):
     assert "error" not in payload["records"][1]
 
 
+def test_biject_nc_to_config_rejects_parts_off_the_interval(capsys, tmp_path):
+    # Each part is s2 s1 = c^-1, not below c; as c^3 = 1 the two multiply
+    # to c, so only the length check can reject the record.
+    infile = tmp_path / "nc.json"
+    infile.write_text(json.dumps([
+        {"reflection_words": [[[0, 1], [1, 0]], [[0, 1], [1, 0]]]},
+    ]))
+    code, payload = run(capsys, "biject", "--type", "A2", "--m", "1",
+                        "--direction", "nc-to-config", "--in", str(infile))
+    assert code == 1
+    assert payload["failures"] == 1
+    assert payload["records"][0]["error"] == (
+        "tuple is not T-reduced: lengths do not add to the rank")
+
+
 def test_biject_nc_to_config_rejects_weyl_only_family(capsys, tmp_path):
     # B2 has noncrossing partitions but no Hom table to read simples from.
     infile = tmp_path / "nc.json"

@@ -9,9 +9,11 @@ from exseq import (
     QuiverDescriptor, QuiverError, build_root_system, coxeter_transform,
     euler_form, fuss_catalan, reflect, sym_form,
 )
+from exseq.roots import perp_masks
 
 from oracle import (
-    admissible_quivers, close_roots_pm, seeded_quiver, serre_hom_table,
+    admissible_quivers, close_roots_pm, hom_perp_masks, seeded_quiver,
+    serre_hom_table,
 )
 
 
@@ -204,6 +206,19 @@ def test_hom_table_matches_serre_recursion_e(rank, seeds):
         assert rs.hom_table == serre_hom_table(rs), rs.quiver
 
 
+def test_perp_masks_match_hom_columns():
+    # <y, x> = 0 under the Euler form exactly when Hom and Ext^1 from M_y
+    # to M_x both vanish.
+    quivers = [q for family, ranks in (("A", range(1, 7)), ("D", range(4, 7)))
+               for rank in ranks for q in admissible_quivers(family, rank)]
+    quivers += [seeded_quiver("E", rank, seed)
+                for rank, seeds in ((6, (4, 5)), (7, (6, 7)), (8, (8, 9)))
+                for seed in seeds]
+    for q in quivers:
+        rs = build_root_system(q)
+        assert perp_masks(rs) == hom_perp_masks(rs), q
+
+
 def test_doctests():
     failures, _ = doctest.testmod(exseq.roots)
     assert failures == 0
@@ -214,8 +229,7 @@ def test_doctests():
                        min_size=k, max_size=k))))
 def test_null_space_matches_rational_oracle(m):
     from fractions import Fraction
-    from exseq.roots import null_space
-    from oracle import nullspace, rref
+    from oracle import null_space, nullspace, rref
     n = len(m[0])
     basis = null_space(m)
     assert all(sum(row[j] * v[j] for j in range(n)) == 0

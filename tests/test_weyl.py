@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from exseq import (
-    DObj, abs_length, collection, coxeter_element, enumerate_complete_sequences,
+    DObj, collection, coxeter_element, enumerate_complete_sequences,
     enumerate_kind, enumerate_m_nc, fuss_catalan, generate_weyl, is_exceptional,
     mutate, phi, phi_inverse, proj, reflection_factorizations,
     reflection_matrix, reflection_of_object, sequence_reflection_product,
@@ -13,7 +13,8 @@ from exseq import (
 from exseq.weyl import mat_identity, mat_mul, nc_from_dict, nc_to_dict
 
 from oracle import (
-    admissible_quivers, cayley_abs_lengths, simples_of_wide, wide_subcategory,
+    abs_length, admissible_quivers, cayley_abs_lengths, fixed_space_interval,
+    simples_of_wide, wide_subcategory,
 )
 
 
@@ -56,7 +57,11 @@ def test_abs_length_matches_cayley_bfs(a3, b2):
         assert len(dist) == rs.weyl_order()
         for w, length in dist.items():
             assert abs_length(rs, w) == length
-            assert group.abs_length(w) == length
+            if group.below_coxeter(w):
+                assert group.abs_length(w) == length
+            else:
+                with pytest.raises(ValueError, match="not below the Coxeter"):
+                    group.abs_length(w)
 
 
 def _interval_oracle(group):
@@ -76,8 +81,23 @@ def test_interval_matches_cayley_bfs(b2, d4):
     for rs in [b2] + [build_root_system(q) for q in quivers]:
         group = generate_weyl(rs)
         assert set(group.elements) == _interval_oracle(group), rs.quiver
-        for w in group.elements:
-            assert mat_mul(group.inverse(w), w) == group.identity
+
+
+def test_interval_matches_fixed_space_descent():
+    # Lengths and wide masks of the perpendicular-mask descent against the
+    # descent that tests every root against the fixed space of each element.
+    from exseq import QuiverDescriptor, build_root_system
+    quivers = [q for rank in range(1, 6) for q in admissible_quivers("A", rank)]
+    quivers += list(admissible_quivers("D", 4))
+    quivers += [QuiverDescriptor.standard(f, n) for f, n in (
+        ("D", 5), ("E", 6), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4),
+        ("F", 4), ("G", 2))]
+    for q in quivers:
+        rs = build_root_system(q)
+        group = generate_weyl(rs)
+        oracle = fixed_space_interval(rs)
+        assert group._interval == oracle, q
+        assert group.elements == tuple(sorted(oracle)), q
 
 
 def test_reflection_matrices_are_involutions(d4):
@@ -90,8 +110,9 @@ def test_nc_counts(a2, a3, d4, b2):
     from exseq import QuiverDescriptor, build_root_system
     d5 = build_root_system(QuiverDescriptor.standard("D", 5))
     e6 = build_root_system(QuiverDescriptor.standard("E", 6))
+    e7 = build_root_system(QuiverDescriptor.standard("E", 7))
     cases = [(rs, m) for rs in (a2, a3, d4, b2) for m in (1, 2)]
-    for rs, m in cases + [(d5, 2), (e6, 1)]:
+    for rs, m in cases + [(d5, 2), (e6, 1), (e7, 1)]:
         group = generate_weyl(rs)
         assert len(enumerate_m_nc(group, m)) == fuss_catalan(rs, m)
 
@@ -233,6 +254,17 @@ def test_phi_validates_input(a2):
         phi(group, ())
 
 
+def test_phi_rejects_parts_off_the_interval(a2):
+    # c has order 3 in A2, so (c^-1, c^-1) multiplies to c, but c^-1 is not
+    # below c: its lengths add to 4, not 2.
+    group = generate_weyl(a2)
+    c_inv = mat_mul(group.coxeter, group.coxeter)
+    assert mat_mul(c_inv, c_inv) == group.coxeter
+    assert not group.below_coxeter(c_inv)
+    with pytest.raises(ValueError, match="not T-reduced"):
+        phi(group, (c_inv, c_inv))
+
+
 @pytest.mark.parametrize("family,rank,ms", [
     ("A", 2, (1, 2)), ("A", 3, (1, 2)), ("D", 4, (1,)),
 ])
@@ -260,7 +292,8 @@ def test_phi_word_independent(a3):
     group = generate_weyl(a3)
     for parts in enumerate_m_nc(group, 1)[:20]:
         results = set()
-        all_words = [list(_factorization_words(group, u)) for u in parts]
+        all_words = [list(_factorization_words(group, group._wide_mask(u)))
+                     for u in parts]
         for combo in itertools.product(*all_words):
             chunks = [tuple(DObj(a3, r, 0) for r in word) for word in combo]
             full = tuple(x for chunk in chunks for x in chunk)
@@ -296,7 +329,8 @@ def test_simples_count_matches_length(a3):
 def test_wide_masks_match_oracle(family, rank, every_numbering):
     # The mask of u against the perpendicular of a completed reduced word
     # for u, its simples against the subset-sum search, and mask
-    # containment against the absolute order read off lengths.
+    # containment against the absolute order read off lengths.  A reflection
+    # is an involution, so u^-1 is the product of a word for u reversed.
     from exseq import QuiverDescriptor, build_root_system
     from exseq.weyl import _simple_roots
     quivers = (admissible_quivers(family, rank) if every_numbering
@@ -306,6 +340,7 @@ def test_wide_masks_match_oracle(family, rank, every_numbering):
         group = generate_weyl(rs)
         masks = {u: group._wide_mask(u) for u in group.elements}
         assert masks[group.identity] == 0
+        inverses = {group.identity: group.identity}
         for u, mask in masks.items():
             if u == group.identity:
                 continue
@@ -313,6 +348,7 @@ def test_wide_masks_match_oracle(family, rank, every_numbering):
             chunk = tuple(DObj(rs, r, 0) for r in word)
             assert sequence_reflection_product(chunk) == u
             assert len(word) == abs_length(rs, u)
+            inverses[u] = sequence_reflection_product(chunk[::-1])
             wide = wide_subcategory(chunk)
             assert mask == sum(1 << x.root for x in wide), (q, u)
             simples = simples_of_wide(wide, expected_rank=len(word))
@@ -322,7 +358,7 @@ def test_wide_masks_match_oracle(family, rank, every_numbering):
             lu, lv = group.abs_length(u), group.abs_length(v)
             below = False
             if lu <= lv:
-                cofactor = mat_mul(group.inverse(u), v)
+                cofactor = mat_mul(inverses[u], v)
                 below = (group.below_coxeter(cofactor)
                          and lu + group.abs_length(cofactor) == lv)
             assert (not masks[u] & ~masks[v]) == below, (q, u, v)
