@@ -204,20 +204,25 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _words(perp: tuple[int, ...], mask: int, prefix: tuple[int, ...] = ()
+           ) -> Iterator[tuple[int, ...]]:
+    """Each complete exceptional sequence of the perpendicular category with
+    root mask `mask`, as a word of root indices after `prefix`, in
+    lexicographic order, yielded as soon as it is found: a term x of the
+    category leaves the category mask & perp[x] to the terms after it."""
+    if not mask:
+        yield prefix
+        return
+    for x in _bits(mask):
+        yield from _words(perp, mask & perp[x], prefix + (x,))
+
+
 def _complete_sequences(rs: RootSystemData) -> Iterator[ExcSeq]:
     """Each complete exceptional sequence of modules, by depth-first search
     over the roots in stored order, yielded as soon as it is found."""
     modules = [DObj(rs, root, 0) for root in range(len(rs.positive_roots))]
-    perp = perp_masks(rs)
-
-    def extend(seq: ExcSeq, allowed: int) -> Iterator[ExcSeq]:
-        if len(seq) == rs.n:
-            yield seq
-            return
-        for x in _bits(allowed):
-            yield from extend(seq + (modules[x],), allowed & perp[x])
-
-    return extend((), _all_roots(rs))
+    return (tuple(map(modules.__getitem__, word))
+            for word in _words(perp_masks(rs), _all_roots(rs)))
 
 
 def enumerate_complete_sequences(rs: RootSystemData) -> list[ExcSeq]:

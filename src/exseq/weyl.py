@@ -3,16 +3,16 @@
 Group elements are integer matrices acting on the simple-root basis of K_0
 (column convention).  An m-noncrossing partition is an (m+1)-tuple of
 elements whose product is the Coxeter element c with additive absolute
-lengths.  Each element u of [1, c] carries its wide subcategory
-W(u) = {X : t_X <= u} as a bitmask over the positive roots, and W(u)
-determines u, so questions on [1, c] walk masks, not matrices.  phi sends a
-partition to a
-configuration by reading the simples of each W(u) off the Hom table and
-placing them in degrees m, ..., 0.
+lengths.  Each u in [1, c] carries its wide subcategory W(u) = {X : t_X <= u}
+as a bitmask over the positive roots.  W(u) determines u, so [1, c] is
+answered by perpendicular masks alone: its intervals, cofactors and reduced
+words, and phi_inverse, which takes each degree to the double perpendicular
+of its roots.  phi places the simples of each W(u), read off the Hom table,
+in degrees m, ..., 0.  Matrices serve the JSON edge and phi's input check.
 """
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from operator import and_, mul
 from typing import Iterable, Iterator
 
@@ -21,8 +21,8 @@ from .roots import (
     DimVector, IntMatrix, RootSystemData, fuss_catalan, mat_identity, mat_mul,
     perp_masks,
 )
-from .sequences import MutationError, _bits
-from .silting import DCollection, collection, is_m_config, order_config
+from .sequences import MutationError, _bits, _words
+from .silting import DCollection, collection, is_m_config
 
 WeylElt = IntMatrix
 NCTuple = tuple[WeylElt, ...]
@@ -91,26 +91,16 @@ class WeylGroup:
         self._coroots = tuple(_coroot(rs, r) for r in range(len(rs.positive_roots)))
 
         full = (1 << len(rs.positive_roots)) - 1
-        self._by_mask: dict[int, WeylElt] = {full: self.coxeter}
-        interval = {self.coxeter: (n, full)}
-        level = [(self.coxeter, full)]
-        for length in range(n - 1, -1, -1):
-            below = []
-            for u, mask in level:
-                for x in _bits(mask):
-                    child = mask & perp[x]
-                    if child in self._by_mask:
-                        continue
-                    tu = self._reflect(x, u)
-                    self._by_mask[child] = tu
-                    interval[tu] = (length, child)
-                    below.append((tu, child))
-            level = below
+        self._by_mask = by_mask = {full: self.coxeter}
+        self._interval = interval = {self.coxeter: (n, full)}
+        for mask, x, child in _descent(perp, full):
+            u = by_mask[mask]
+            tu = by_mask[child] = self._reflect(x, u)
+            interval[tu] = (interval[u][0] - 1, child)
         expected = fuss_catalan(rs, 1)
-        if len(interval) != expected or len(self._by_mask) != expected:
+        if len(interval) != expected or len(by_mask) != expected:
             raise MutationError(f"descent from c found {len(interval)} elements, "
                                 f"expected {expected}")
-        self._interval = interval
         self.elements: tuple[WeylElt, ...] = tuple(sorted(interval))
 
         self._subobjects: tuple[int, ...] | None = None
@@ -145,6 +135,26 @@ class WeylGroup:
         return w in self._interval
 
 
+def _descent(perp: tuple[int, ...], top: int) -> Iterator[tuple[int, int, int]]:
+    """The wide masks below `top`, each once as (mask, x, mask & perp[x]),
+    after the mask it descends from: the closure of `top` under the
+    children mask & perp[x], x in mask."""
+    seen, stack = {top}, [top]
+    while stack:
+        mask = stack.pop()
+        for x in _bits(mask):
+            child = mask & perp[x]
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+                yield mask, x, child
+
+
+def _left_perp(perp: tuple[int, ...], mask: int) -> int:
+    """The AND of perp[x] over the roots x of `mask`; -1 for no roots."""
+    return reduce(and_, map(perp.__getitem__, _bits(mask)), -1)
+
+
 def generate_weyl(rs: RootSystemData) -> WeylGroup:
     return WeylGroup(rs)
 
@@ -155,27 +165,28 @@ def generate_weyl(rs: RootSystemData) -> WeylGroup:
 
 def enumerate_m_nc(group: WeylGroup, m: int) -> list[NCTuple]:
     """All (m+1)-tuples multiplying to the Coxeter element with additive
-    reflection lengths.  m = 0 gives the singleton (c,)."""
+    reflection lengths, in ascending order.  m = 0 gives the singleton (c,).
+
+    A depth-first walk fixes one part at a time.  What a prefix leaves, v,
+    splits as u times the T-reduced cofactor u^-1 v for each u in [1, v],
+    the masks below W(v); W(u^-1 v) = W(v) & the perpendicular of W(u).
+    Once v is the identity, so is every later part.
+    """
     if m < 0:
         raise ValueError("m must be non-negative")
+    perp, by_mask = group._perp, group._by_mask
+    left_perp = cache(lambda u: _left_perp(perp, u))
+    # [1, v] descending, so that the stack hands the parts out ascending.
+    below = cache(lambda v: sorted([v, *(child for _, _, child in _descent(perp, v))],
+                                   key=by_mask.__getitem__, reverse=True))
     out: list[NCTuple] = []
-    full = group._wide_mask(group.coxeter)
-    # Per u, the mask of the perpendicular category of all of W(u).
-    entries = [(u, mask, reduce(and_, map(group._perp.__getitem__, _bits(mask)), full))
-               for u, (_, mask) in group._interval.items()]
-
-    def split(v_mask: int, parts: int, prefix: tuple[WeylElt, ...]) -> None:
-        if parts == 1:
-            out.append(prefix + (group._by_mask[v_mask],))
-            return
-        for u, mask, u_perp in entries:
-            # u <= v exactly when W(u) lies in W(v), and then the T-reduced
-            # cofactor u^-1 v has W(u^-1 v) = W(v) & the perpendicular of W(u).
-            if not mask & ~v_mask:
-                split(v_mask & u_perp, parts - 1, prefix + (u,))
-
-    split(full, m + 1, ())
-    out.sort()
+    stack = [((), group._wide_mask(group.coxeter))]
+    while stack:
+        prefix, v = stack.pop()
+        if len(prefix) == m or not v:
+            out.append(prefix + (by_mask[v],) + (group.identity,) * (m - len(prefix)))
+        else:
+            stack += [(prefix + (by_mask[u],), v & left_perp(u)) for u in below(v)]
     return out
 
 
@@ -187,32 +198,8 @@ def reflection_factorizations(group: WeylGroup, w: WeylElt,
     """
     if not group.below_coxeter(w):
         raise ValueError("element is not below the Coxeter element in absolute order")
-    words = _factorization_words(group, group._wide_mask(w))
-    if first_only:
-        return [next(words)]
-    return list(words)
-
-
-def _factorization_words(group: WeylGroup, mask: int) -> Iterator[tuple[int, ...]]:
-    """The T-reduced words for the element of [1, c] with wide mask `mask`,
-    in lexicographic order of root indices.  A word may start with t_r
-    exactly when t_r <= w, which is when r is in the mask, and the rest is
-    a word for t_r.w, whose mask is mask & perp[r]."""
-    if not mask:
-        yield ()
-        return
-    for r in _bits(mask):
-        for tail in _factorization_words(group, mask & group._perp[r]):
-            yield (r,) + tail
-
-
-def _word_product(group: WeylGroup, word: list[int]) -> WeylElt:
-    """The product of the reflections along a word of root indices, by
-    rank-one updates from the right; the identity for the empty word."""
-    u = group.reflections[word[-1]] if word else group.identity
-    for r in reversed(word[:-1]):
-        u = group._reflect(r, u)
-    return u
+    words = _words(group._perp, group._wide_mask(w))
+    return [next(words)] if first_only else list(words)
 
 
 def reflection_of_object(x: DObj) -> WeylElt:
@@ -281,22 +268,30 @@ def phi(group: WeylGroup, parts: NCTuple) -> DCollection:
 
 
 def phi_inverse(group: WeylGroup, col: DCollection, m: int) -> NCTuple:
-    """Send an m-configuration to its m-noncrossing partition: chunk the
-    configuration by degree (degree d contributes part m+1-d) and multiply
-    the reflections of each chunk in exceptional order."""
+    """Send an m-configuration to its m-noncrossing partition: degree d
+    gives part m+1-d, the u whose W(u) is generated by the degree-d roots C.
+    That is the double perpendicular: the AND of perp[y] over the roots y of
+    the right perpendicular of C, those with C in perp[y].
+
+    The parts must form a chain: each lies in what the parts before it leave
+    of W(c), and leaves that & the perpendicular of its own mask.  The chain
+    ends at 0 exactly when the parts are a T-reduced factorization of c.
+    """
     if not is_m_config(col, m):
         raise ValueError("input is not an m-configuration")
-    seq = order_config(col)
-    parts = []
-    for i in range(1, m + 2):
-        chunk = [x for x in seq if x.degree == m + 1 - i]
-        u = _word_product(group, [x.root for x in chunk])
-        if not group.below_coxeter(u) or group.abs_length(u) != len(chunk):
-            raise MutationError("chunk product is not T-reduced")
-        parts.append(u)
-    result = tuple(parts)
-    _validate_nc(group, result)
-    return result
+    perp, full = group._perp, group._wide_mask(group.coxeter)
+    remaining, parts = full, []
+    for degree in range(m, -1, -1):
+        chunk = sum(1 << x.root for x in col.objects if x.degree == degree)
+        right = sum(1 << y for y, left in enumerate(perp) if not chunk & ~left)
+        mask = full & _left_perp(perp, right)
+        if mask & ~remaining or mask not in group._by_mask:
+            raise MutationError("chunk does not give a T-reduced part")
+        remaining &= _left_perp(perp, mask)
+        parts.append(group._by_mask[mask])
+    if remaining:
+        raise MutationError("parts do not multiply to the Coxeter element")
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -323,5 +318,5 @@ def nc_from_dict(group: WeylGroup, data: dict) -> NCTuple:
     except (KeyError, TypeError):
         raise ValueError(f"noncrossing record {data!r} is not of the form "
                          '{"reflection_words": [[root, ...], ...]}') from None
-    return tuple(_word_product(group, [rs.root_of(dim) for dim in word])
-                 for word in words)
+    return tuple(reduce(mat_mul, (group.reflections[rs.root_of(dim)] for dim in word),
+                        group.identity) for word in words)

@@ -10,8 +10,10 @@ against each term of its prefix.  The positive roots are compared with the
 closure of the simples under all simple reflections.  Reflection length
 comes from breadth-first search in the Cayley graph and from the fixed space
 of an element, the interval [1, c] and its wide masks from a descent that
-tests each root against the fixed space, the perpendicular masks from the
-Hom-table columns, a wide subcategory from
+tests each root against the fixed space, the m-noncrossing partitions from
+a scan of [1, c] below each part, phi^-1 from matrix products along the
+exceptional order of each degree, the left and right perpendicular masks
+from the Hom-table columns and rows, a wide subcategory from
 the perpendicular of a completed exceptional sequence and its simples from a
 subset-sum search over dimension vectors, and Fac-torsion membership from
 checking that the joint image of all homomorphisms covers the target
@@ -24,8 +26,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
+from operator import and_
 from typing import Iterable
 
 from exseq.derived import (
@@ -36,9 +39,14 @@ from exseq.roots import (
     DimVector, IntMatrix, QuiverDescriptor, QuiverError, RootSystemData,
     coxeter_transform, mat_vec,
 )
-from exseq.sequences import ExcSeq, MutationError, is_exceptional
-from exseq.silting import DCollection, collection, is_hom_leq0_config
-from exseq.weyl import WeylGroup, coxeter_element, mat_mul, reflection_matrix
+from exseq.sequences import ExcSeq, MutationError, _bits, is_exceptional
+from exseq.silting import (
+    DCollection, collection, is_hom_leq0_config, is_m_config, order_config,
+)
+from exseq.weyl import (
+    NCTuple, WeylElt, WeylGroup, _validate_nc, coxeter_element, mat_mul,
+    reflection_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +411,64 @@ def fixed_space_interval(rs: RootSystemData) -> dict[IntMatrix, tuple[int, int]]
 
 
 # ---------------------------------------------------------------------------
+# Noncrossing partitions by scanning [1, c], phi^-1 by matrix products.
+# ---------------------------------------------------------------------------
+
+def enumerate_m_nc_scan(group: WeylGroup, m: int) -> list[NCTuple]:
+    """All (m+1)-tuples multiplying to the Coxeter element with additive
+    reflection lengths.  m = 0 gives the singleton (c,)."""
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    out: list[NCTuple] = []
+    full = group._wide_mask(group.coxeter)
+    # Per u, the mask of the perpendicular category of all of W(u).
+    entries = [(u, mask, reduce(and_, map(group._perp.__getitem__, _bits(mask)), full))
+               for u, (_, mask) in group._interval.items()]
+
+    def split(v_mask: int, parts: int, prefix: tuple[WeylElt, ...]) -> None:
+        if parts == 1:
+            out.append(prefix + (group._by_mask[v_mask],))
+            return
+        for u, mask, u_perp in entries:
+            # u <= v exactly when W(u) lies in W(v), and then the T-reduced
+            # cofactor u^-1 v has W(u^-1 v) = W(v) & the perpendicular of W(u).
+            if not mask & ~v_mask:
+                split(v_mask & u_perp, parts - 1, prefix + (u,))
+
+    split(full, m + 1, ())
+    out.sort()
+    return out
+
+
+def _word_product(group: WeylGroup, word: list[int]) -> WeylElt:
+    """The product of the reflections along a word of root indices, by
+    rank-one updates from the right; the identity for the empty word."""
+    u = group.reflections[word[-1]] if word else group.identity
+    for r in reversed(word[:-1]):
+        u = group._reflect(r, u)
+    return u
+
+
+def phi_inverse_matrix(group: WeylGroup, col: DCollection, m: int) -> NCTuple:
+    """Send an m-configuration to its m-noncrossing partition: chunk the
+    configuration by degree (degree d contributes part m+1-d) and multiply
+    the reflections of each chunk in exceptional order."""
+    if not is_m_config(col, m):
+        raise ValueError("input is not an m-configuration")
+    seq = order_config(col)
+    parts = []
+    for i in range(1, m + 2):
+        chunk = [x for x in seq if x.degree == m + 1 - i]
+        u = _word_product(group, [x.root for x in chunk])
+        if not group.below_coxeter(u) or group.abs_length(u) != len(chunk):
+            raise MutationError("chunk product is not T-reduced")
+        parts.append(u)
+    result = tuple(parts)
+    _validate_nc(group, result)
+    return result
+
+
+# ---------------------------------------------------------------------------
 # Perpendicular masks from the Hom table.
 # ---------------------------------------------------------------------------
 
@@ -412,6 +478,14 @@ def hom_perp_masks(rs: RootSystemData) -> tuple[int, ...]:
     full = (1 << len(rs.positive_roots)) - 1
     _, _, hom_cols, ext_cols = rs.hom_masks
     return tuple(full & ~(h | e) for h, e in zip(hom_cols, ext_cols))
+
+
+def hom_right_perp_masks(rs: RootSystemData) -> tuple[int, ...]:
+    """Per root x, the mask of the roots z with Hom(M_x, M_z) = 0 and
+    Ext^1(M_x, M_z) = 0, read from the Hom-table rows."""
+    full = (1 << len(rs.positive_roots)) - 1
+    hom_rows, ext_rows, _, _ = rs.hom_masks
+    return tuple(full & ~(h | e) for h, e in zip(hom_rows, ext_rows))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 import exseq
 from exseq import (
     MutationError, QuiverDescriptor, build_root_system, enumerate_complete_sequences,
-    enumerate_kind, enumerate_m_nc, generate_weyl,
+    enumerate_kind, enumerate_m_nc, fuss_catalan, generate_weyl,
 )
 from exseq import cli
 from exseq.cli import _objects_chunks, main
@@ -194,6 +194,28 @@ def test_biject_nc_to_config_rejects_parts_off_the_interval(capsys, tmp_path):
         "tuple is not T-reduced: lengths do not add to the rank")
 
 
+def test_biject_nc_to_config_keeps_record_verdicts(capsys, tmp_path):
+    # A record is judged by the products of its words: s1 s1 s1 is s1, so a
+    # word longer than its part passes, while (s1, s2) does not give c.
+    s1, s2, s3 = [1, 0, 0], [0, 1, 0], [0, 0, 1]
+    infile = tmp_path / "nc.json"
+    infile.write_text(json.dumps([
+        {"reflection_words": [[s1, s1, s1], [s2, s3]]},
+        {"reflection_words": [[s1], [s2, s3]]},
+        {"reflection_words": [[s1], [s2]]},
+    ]))
+    code, payload = run(capsys, "biject", "--type", "A3", "--m", "1",
+                        "--direction", "nc-to-config", "--in", str(infile))
+    assert code == 1
+    assert payload["failures"] == 1
+    long, short, wrong = payload["records"]
+    assert "error" not in long
+    assert long["output"] == short["output"] == [
+        {"dim": [0, 1, 0], "deg": 0}, {"dim": [0, 0, 1], "deg": 0},
+        {"dim": [1, 0, 0], "deg": 1}]
+    assert wrong["error"] == "tuple does not multiply to the Coxeter element"
+
+
 def test_biject_nc_to_config_rejects_weyl_only_family(capsys, tmp_path):
     # B2 has noncrossing partitions but no Hom table to read simples from.
     infile = tmp_path / "nc.json"
@@ -325,6 +347,18 @@ def test_nc_count_e6(capsys):
     code, payload = run(capsys, "nc", "--type", "E6", "--m", "1", "--count")
     assert code == 0
     assert payload["counts"]["m-noncrossing-partitions"] == 833
+
+
+def test_nc_count_far_past_the_recursion_limit(capsys):
+    # The walk fixes parts without recursing over them, so m may exceed
+    # Python's recursion limit; A1 has m + 1 partitions.
+    code = main(["nc", "--type", "A1", "--m", "1500", "--count"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    rs = build_root_system(QuiverDescriptor.standard("A", 1))
+    assert json.loads(captured.out)["counts"]["m-noncrossing-partitions"] == \
+        fuss_catalan(rs, 1500) == 1501
 
 
 def test_torsion_command(capsys, tmp_path):

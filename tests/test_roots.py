@@ -1,5 +1,6 @@
 """Root-system foundation: forms, reflections, exponents, counting."""
 import doctest
+from functools import cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,8 +13,8 @@ from exseq import (
 from exseq.roots import perp_masks
 
 from oracle import (
-    admissible_quivers, close_roots_pm, hom_perp_masks, seeded_quiver,
-    serre_hom_table,
+    admissible_quivers, close_roots_pm, hom_perp_masks, hom_right_perp_masks,
+    seeded_quiver, serre_hom_table,
 )
 
 
@@ -206,17 +207,34 @@ def test_hom_table_matches_serre_recursion_e(rank, seeds):
         assert rs.hom_table == serre_hom_table(rs), rs.quiver
 
 
-def test_perp_masks_match_hom_columns():
-    # <y, x> = 0 under the Euler form exactly when Hom and Ext^1 from M_y
-    # to M_x both vanish.
+@cache
+def perp_systems():
+    """The root systems of every numbering of A1-A6 and D4-D6 and of seeded
+    E6-E8, built once for the perpendicular-mask checks."""
     quivers = [q for family, ranks in (("A", range(1, 7)), ("D", range(4, 7)))
                for rank in ranks for q in admissible_quivers(family, rank)]
     quivers += [seeded_quiver("E", rank, seed)
                 for rank, seeds in ((6, (4, 5)), (7, (6, 7)), (8, (8, 9)))
                 for seed in seeds]
-    for q in quivers:
-        rs = build_root_system(q)
-        assert perp_masks(rs) == hom_perp_masks(rs), q
+    return [build_root_system(q) for q in quivers]
+
+
+def test_perp_masks_match_hom_columns():
+    # <y, x> = 0 under the Euler form exactly when Hom and Ext^1 from M_y
+    # to M_x both vanish.
+    for rs in perp_systems():
+        assert perp_masks(rs) == hom_perp_masks(rs), rs.quiver
+
+
+def test_right_perp_matches_hom_rows():
+    # weyl.phi_inverse reads the right perpendicular of x off perp_masks:
+    # the y with x in perp[y], which must be the y with Hom and Ext^1 from
+    # M_x to M_y both vanishing.
+    for rs in perp_systems():
+        perp = perp_masks(rs)
+        right = tuple(sum(1 << y for y, left in enumerate(perp) if left >> x & 1)
+                      for x in range(len(perp)))
+        assert right == hom_right_perp_masks(rs), rs.quiver
 
 
 def test_doctests():

@@ -13,8 +13,9 @@ from exseq import (
 from exseq.weyl import mat_identity, mat_mul, nc_from_dict, nc_to_dict
 
 from oracle import (
-    abs_length, admissible_quivers, cayley_abs_lengths, fixed_space_interval,
-    simples_of_wide, wide_subcategory,
+    abs_length, admissible_quivers, cayley_abs_lengths, enumerate_m_nc_scan,
+    fixed_space_interval, phi_inverse_matrix, seeded_quiver, simples_of_wide,
+    wide_subcategory,
 )
 
 
@@ -115,6 +116,49 @@ def test_nc_counts(a2, a3, d4, b2):
     for rs, m in cases + [(d5, 2), (e6, 1), (e7, 1)]:
         group = generate_weyl(rs)
         assert len(enumerate_m_nc(group, m)) == fuss_catalan(rs, m)
+
+
+# Every admissible numbering of A1-A5 and D4 at m <= 2, and seeded D5/2 and
+# E6/1: the cases the walk-down and the double perpendicular are checked on.
+ORACLE_CASES = [(q, m) for family, rank in (("A", 1), ("A", 2), ("A", 3), ("A", 4),
+                                            ("A", 5), ("D", 4))
+                for q in admissible_quivers(family, rank) for m in (0, 1, 2)]
+ORACLE_CASES += [(seeded_quiver("D", 5, 2), 2), (seeded_quiver("E", 6, 2), 1)]
+
+
+def test_nc_matches_scan_oracle():
+    # The walk down from each part against the scan of [1, c] below it,
+    # order included.
+    from exseq import build_root_system
+    for q, m in ORACLE_CASES:
+        group = generate_weyl(build_root_system(q))
+        assert enumerate_m_nc(group, m) == enumerate_m_nc_scan(group, m), (q, m)
+
+
+def test_phi_inverse_matches_matrix_oracle():
+    # The double perpendicular against the products along the exceptional
+    # order, on every configuration.  A5 has 60 numberings, whose 93,600
+    # configurations would take about 40 s here; it runs on two of them.
+    from exseq import QuiverDescriptor, build_root_system
+    a5 = QuiverDescriptor.standard("A", 5)
+    cases = [(q, m) for q, m in ORACLE_CASES if m and (q.family, q.rank) != ("A", 5)]
+    cases += [(a5, 1), (a5, 2), (seeded_quiver("A", 5, 2), 2)]
+    for q, m in cases:
+        rs = build_root_system(q)
+        group = generate_weyl(rs)
+        for col in enumerate_kind(rs, "m-config", m):
+            assert phi_inverse(group, col, m) == phi_inverse_matrix(group, col, m), (q, col)
+
+
+def test_phi_inverse_rejects_a_broken_chain(a2, monkeypatch):
+    # Degree 1 holds both simples, so its part is c and leaves nothing for
+    # the part of degree 0.  Past the precondition, only the chain sees it.
+    from exseq import MutationError, weyl
+    monkeypatch.setattr(weyl, "is_m_config", lambda col, m: True)
+    group = generate_weyl(a2)
+    s1, s2 = simple(a2, 1), simple(a2, 2)
+    with pytest.raises(MutationError, match="T-reduced part"):
+        phi_inverse(group, collection([shift(s1, 1), shift(s2, 1), s1]), 1)
 
 
 def test_nc_m0_and_structure(a2):
@@ -286,13 +330,13 @@ def test_phi_bijection(family, rank, ms):
 
 def test_phi_word_independent(a3):
     # phi must not depend on which reduced word represents each part.
-    from exseq.weyl import _factorization_words
+    from exseq.sequences import _words
     from exseq.silting import collection as make_collection
 
     group = generate_weyl(a3)
     for parts in enumerate_m_nc(group, 1)[:20]:
         results = set()
-        all_words = [list(_factorization_words(group, group._wide_mask(u)))
+        all_words = [list(_words(group._perp, group._wide_mask(u)))
                      for u in parts]
         for combo in itertools.product(*all_words):
             chunks = [tuple(DObj(a3, r, 0) for r in word) for word in combo]
