@@ -68,6 +68,16 @@ class RunReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    def check(self, name, expected, actual, counterexample=None, sample=None) -> None:
+        """Record a check that passes when actual equals expected."""
+        self.checks.append(CheckResult(name, expected, actual, expected == actual,
+                                       counterexample, sample))
+
+    def check_none(self, name, bad, encode, sample=None) -> None:
+        """Record a check that passes when no input is bad, else shows it encoded."""
+        shown = None if bad is None else encode(bad)
+        self.check(name, None, shown, shown, sample)
+
     def to_dict(self) -> dict:
         return {
             "command": self.command,
@@ -104,7 +114,7 @@ def _build(args) -> "RootSystemData":
             arrows = tuple((a, b) for a, b in json.loads(args.orientation))
             if not all(type(v) is int for arrow in arrows for v in arrow):
                 raise TypeError
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, RecursionError):
             raise QuiverError(f"bad orientation {args.orientation!r}; "
                               "expected a JSON list of [i, j] arrows") from None
         quiver = QuiverDescriptor(family, rank, arrows)
@@ -118,7 +128,7 @@ def _read_records(path: str) -> list:
     try:
         with open(path) as handle:
             records = json.load(handle)
-    except (OSError, ValueError) as exc:   # ValueError: not valid JSON
+    except (OSError, ValueError, RecursionError) as exc:   # not JSON, or too deep
         raise ValueError(f"cannot read records from {path}: {exc}") from None
     if not isinstance(records, list):
         raise ValueError(f"{path} must hold a JSON array of records")
@@ -212,12 +222,8 @@ def _objects_chunks(objs: list[DObj], cliques: list[tuple[int, ...]]) -> Iterato
 
 def cmd_enumerate(args) -> int:
     start = time.perf_counter()
-    try:
-        rs = _build(args)
-        objs, cliques = enumerate_kind_indexed(rs, args.kind, args.m)
-    except (QuiverError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rs = _build(args)
+    objs, cliques = enumerate_kind_indexed(rs, args.kind, args.m)
     report = RunReport("enumerate", f"{rs.family}{rs.n}", args.m)
     report.counts[args.kind] = len(cliques)
     report.elapsed = time.perf_counter() - start
@@ -232,13 +238,9 @@ def cmd_enumerate(args) -> int:
 
 def cmd_nc(args) -> int:
     start = time.perf_counter()
-    try:
-        rs = _build(args)
-        group = generate_weyl(rs)
-        tuples = enumerate_m_nc(group, args.m)
-    except (QuiverError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rs = _build(args)
+    group = generate_weyl(rs)
+    tuples = enumerate_m_nc(group, args.m)
     report = RunReport("nc", f"{rs.family}{rs.n}", args.m)
     report.counts["m-noncrossing-partitions"] = len(tuples)
     report.elapsed = time.perf_counter() - start
@@ -258,55 +260,60 @@ def _trace_of(seq, inverse: bool) -> list[dict]:
             for i, sign, after in steps]
 
 
-def cmd_biject(args) -> int:
-    try:
-        rs = _build(args)
-        if args.m < 0:
-            raise ValueError("m must be non-negative")
-        records = _read_records(args.infile)
-        group = None
-        if args.direction in ("nc-to-config", "config-to-nc"):
-            group = generate_weyl(rs)
-    except (QuiverError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _per_record(args, convert, head: dict) -> int:
+    """Emit head with one entry per record of --in: its input and what convert
+    returns for it, or the error of a ValueError.  Exit 1 if any record failed.
+    Reading and writing at one stack depth keeps the margin json.load leaves."""
     results = []
     failures = 0
-    for record in records:
+    for record in _read_records(args.infile):
         entry: dict = {"input": record}
         try:
-            if args.direction == "silting-to-config":
-                col = collection_from_list(rs, record)
-                reason = explain_not_silting(col)
-                if reason:
-                    raise ValueError(reason)
-                if args.trace:
-                    entry["trace"] = _trace_of(order_silting(col), inverse=False)
-                entry["output"] = collection_to_list(silting_to_config(col))
-            elif args.direction == "config-to-silting":
-                col = collection_from_list(rs, record)
-                reason = explain_not_config(col)
-                if reason:
-                    raise ValueError(reason)
-                if args.trace:
-                    entry["trace"] = _trace_of(order_config(col), inverse=True)
-                entry["output"] = collection_to_list(config_to_silting(col))
-            elif args.direction == "nc-to-config":
-                parts = nc_from_dict(group, record)
-                if len(parts) != args.m + 1:
-                    raise ValueError(f"an m-noncrossing partition for m = {args.m} "
-                                     f"has {args.m + 1} parts, found {len(parts)}")
-                entry["output"] = collection_to_list(phi(group, parts))
-            else:  # config-to-nc; argparse admits no other direction
-                col = collection_from_list(rs, record)
-                entry["output"] = nc_to_dict(group, phi_inverse(group, col, args.m))
-        except (ValueError, QuiverError) as exc:
+            entry.update(convert(record))
+        except ValueError as exc:     # QuiverError included
             entry["error"] = str(exc)
             failures += 1
         results.append(entry)
-    _emit(args, _dumps({"direction": args.direction, "records": results,
-                        "failures": failures}))
+    try:
+        text = _dumps({**head, "records": results, "failures": failures})
+    except RecursionError:      # an input nested nearly as deep as json.load allows
+        raise ValueError("records nest too deeply to write back") from None
+    _emit(args, text)
     return 1 if failures else 0
+
+
+def cmd_biject(args) -> int:
+    rs = _build(args)
+    if args.m < 0:
+        raise ValueError("m must be non-negative")
+    group = None
+    if args.direction in ("nc-to-config", "config-to-nc"):
+        group = generate_weyl(rs)
+
+    def convert(record) -> dict:
+        if args.direction == "nc-to-config":
+            parts = nc_from_dict(group, record)
+            if len(parts) != args.m + 1:
+                raise ValueError(f"an m-noncrossing partition for m = {args.m} "
+                                 f"has {args.m + 1} parts, found {len(parts)}")
+            return {"output": collection_to_list(phi(group, parts))}
+        col = collection_from_list(rs, record)
+        if args.direction == "config-to-nc":
+            return {"output": nc_to_dict(group, phi_inverse(group, col, args.m))}
+        # silting-to-config or back; argparse admits no other direction
+        forward = args.direction == "silting-to-config"
+        reason = (explain_not_silting if forward else explain_not_config)(col)
+        if reason:
+            raise ValueError(reason)
+        entry = {}
+        if args.trace:
+            order = order_silting if forward else order_config
+            entry["trace"] = _trace_of(order(col), inverse=not forward)
+        bijection = silting_to_config if forward else config_to_silting
+        entry["output"] = collection_to_list(bijection(col))
+        return entry
+
+    return _per_record(args, convert, {"direction": args.direction})
 
 
 # verify checks the mutation laws on every complete exceptional sequence
@@ -317,8 +324,9 @@ _EXHAUSTIVE_LIMIT = 10_000
 _SAMPLE_SIZE = 2_000
 _SAMPLE_SEED = 0
 
-# Raised while checking one input that verify generated itself, these are
-# internal failures: the check fails with that input as counterexample.
+# Raised while checking one input that verify or riedtmann --verify generated
+# itself, these are internal failures: the check fails with that input as
+# counterexample.
 _CHECK_ERRORS = (MutationError, ValueError)
 
 
@@ -361,19 +369,9 @@ def _sequence_laws(seq) -> bool:
                     for i in range(1, len(seq))))
 
 
-def _verify_checks(rs, group, m: int) -> tuple[dict, list[CheckResult]]:
-    checks: list[CheckResult] = []
-    counts: dict = {}
-
-    def check(name, expected, actual, counterexample=None, sample=None):
-        checks.append(CheckResult(name, expected, actual, expected == actual,
-                                  counterexample, sample))
-
-    def check_none(name, bad, encode, sample=None):
-        # Passes when no input is bad; else shows the bad one, encoded.
-        shown = None if bad is None else encode(bad)
-        check(name, None, shown, shown, sample)
-
+def _verify_checks(report: RunReport, rs, group, m: int) -> None:
+    """Add verify's counts and checks to report."""
+    counts, check, check_none = report.counts, report.check, report.check_none
     expected = fuss_catalan(rs, m)
     tilting = enumerate_kind(rs, "m-cluster-tilting", m)
     configs = enumerate_kind(rs, "m-config", m)
@@ -430,25 +428,20 @@ def _verify_checks(rs, group, m: int) -> tuple[dict, list[CheckResult]]:
           factorial(rs.n) * rs.coxeter_number ** rs.n // rs.weyl_order(), total)
     check_none("mu_rev^2 = nu^{-1} and inverse law", bad,
                lambda seq: [obj_to_dict(x) for x in seq], sample)
-    return counts, checks
 
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
-    try:
-        rs = _build(args)
-        group = generate_weyl(rs)
-        counts, checks = _verify_checks(rs, group, args.m)
-    except (QuiverError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = RunReport("verify", f"{rs.family}{rs.n}", args.m, counts, checks)
+    rs = _build(args)
+    group = generate_weyl(rs)
+    report = RunReport("verify", f"{rs.family}{rs.n}", args.m)
+    _verify_checks(report, rs, group, args.m)
     report.elapsed = time.perf_counter() - start
     if args.csv:
         table = io.StringIO()
         writer = csv.writer(table)
         writer.writerow(["count", "value"])
-        for key, value in sorted(counts.items()):
+        for key, value in sorted(report.counts.items()):
             writer.writerow([key, value])
         _write(args.csv, table.getvalue(), newline="")
     _emit(args, _dumps(report.to_dict()))
@@ -457,58 +450,31 @@ def cmd_verify(args) -> int:
 
 def cmd_riedtmann(args) -> int:
     start = time.perf_counter()
-    try:
-        rs = _build(args)
-        minus = enumerate_kind(rs, "m-config-minus", 1)
-    except (QuiverError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rs = _build(args)
+    minus = enumerate_kind(rs, "m-config-minus", 1)
+    positive = abs(fuss_catalan(rs, -2))
     report = RunReport("riedtmann", f"{rs.family}{rs.n}", 1)
     report.counts["minus-window-1-configs"] = len(minus)
-    report.counts["expected-tilting-modules"] = abs(fuss_catalan(rs, -2))
+    report.counts["expected-tilting-modules"] = positive
     if args.verify:
-        bad = next(
-            (c for c in minus if riedtmann_to_config(config_to_riedtmann(c)) != c),
-            None,
-        )
-        report.checks.append(CheckResult(
-            "riedtmann round trip", None,
-            None if bad is None else collection_to_list(bad),
-            bad is None,
-            None if bad is None else collection_to_list(bad)))
-        report.checks.append(CheckResult(
-            "count equals positive Fuss-Catalan",
-            abs(fuss_catalan(rs, -2)), len(minus),
-            abs(fuss_catalan(rs, -2)) == len(minus)))
+        _, bad = _round_trip(minus, config_to_riedtmann, riedtmann_to_config)
+        report.check_none("riedtmann round trip", bad, collection_to_list)
+        report.check("count equals positive Fuss-Catalan", positive, len(minus))
     report.elapsed = time.perf_counter() - start
     _emit(args, _dumps(report.to_dict()))
     return 0 if report.passed else 1
 
 
 def cmd_torsion(args) -> int:
-    try:
-        rs = _build(args)
-        window = WindowSpec(*args.window)
-        records = _read_records(args.infile)
-    except (QuiverError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    results = []
-    failures = 0
-    for record in records:
-        entry: dict = {"input": record}
-        try:
-            col = collection_from_list(rs, record)
-            members = sorted(torsion_window(col, window),
-                             key=lambda x: (x.degree, x.root))
-            entry["torsion_window"] = [obj_to_dict(x) for x in members]
-        except (ValueError, QuiverError) as exc:
-            entry["error"] = str(exc)
-            failures += 1
-        results.append(entry)
-    _emit(args, _dumps({"window": window.to_dict(), "records": results,
-                        "failures": failures}))
-    return 1 if failures else 0
+    rs = _build(args)
+    window = WindowSpec(*args.window)
+
+    def convert(record) -> dict:
+        members = sorted(torsion_window(collection_from_list(rs, record), window),
+                         key=lambda x: (x.degree, x.root))
+        return {"torsion_window": [obj_to_dict(x) for x in members]}
+
+    return _per_record(args, convert, {"window": window.to_dict()})
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +559,12 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_normalize_argv(argv))
+    # The one exit 2 after parsing: a usage error (ValueError, QuiverError
+    # included) or an output error.  Commands check input before they write;
+    # an internal failure (MutationError) keeps its traceback.
     try:
         return args.func(args)
-    except OutputError as exc:
+    except (ValueError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

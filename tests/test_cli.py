@@ -1,4 +1,6 @@
 """Command-line interface: reports, artifacts, exit codes."""
+import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -8,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import exseq
 from exseq import (
@@ -251,6 +254,15 @@ RECORD_COMMANDS = {
     "torsion": ["torsion", "--type", "A2", "--window", "-1:2"],
 }
 
+OUTPUT_COMMANDS = {
+    "enumerate": ["enumerate", "--type", "A2", "--m", "1", "--kind", "m-config"],
+    "nc": ["nc", "--type", "A2", "--m", "1"],
+    "verify": ["verify", "--type", "A2", "--m", "1"],
+    "riedtmann": ["riedtmann", "--type", "A2"],
+    "biject": ["biject", "--type", "A2", "--direction", "silting-to-config"],
+    "torsion": ["torsion", "--type", "A2", "--window", "-1:2"],
+}
+
 
 @pytest.mark.parametrize("command", sorted(RECORD_COMMANDS))
 @pytest.mark.parametrize("text", [None, "[1,"], ids=["missing-file", "invalid-json"])
@@ -261,6 +273,40 @@ def test_unreadable_input_is_usage_error(capsys, tmp_path, command, text):
     code = main(RECORD_COMMANDS[command] + ["--in", str(infile)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", sorted(RECORD_COMMANDS))
+def test_deeply_nested_records_are_usage_error(capsys, tmp_path, command):
+    # Nesting past the recursion limit stops the JSON decoder, not main.
+    infile = tmp_path / "in.json"
+    infile.write_text("[" * 200_000)
+    code = main(RECORD_COMMANDS[command] + ["--in", str(infile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read records from {infile}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_records_nested_near_the_recursion_limit(tmp_path):
+    # Just below the depth at which json.load gives up, writing a record
+    # back can fail, as its echo in the output nests deeper.  From the limit
+    # down, every depth is a usage error until one is written.
+    infile = tmp_path / "in.json"
+    errors = set()
+    for depth in range(sys.getrecursionlimit(), 0, -1):
+        infile.write_text("[" * depth + "]" * depth)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(RECORD_COMMANDS["biject"] + ["--in", str(infile)])
+        if code == 1:
+            break
+        assert code == 2
+        assert out.getvalue() == ""
+        errors.add(err.getvalue().split(": ")[1].rstrip())
+    assert json.loads(out.getvalue())["failures"] == 1
+    assert errors <= {f"cannot read records from {infile}",
+                      "records nest too deeply to write back"}
 
 
 @pytest.mark.parametrize("command", sorted(RECORD_COMMANDS))
@@ -341,6 +387,21 @@ def test_malformed_orientation_is_usage_error(capsys):
                  "--orientation", "[1,2]"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_deeply_nested_orientation_is_usage_error(capsys, tmp_path, command):
+    argv = list(OUTPUT_COMMANDS[command])
+    if command in RECORD_COMMANDS:
+        infile = tmp_path / "in.json"
+        infile.write_text("[]")
+        argv += ["--in", str(infile)]
+    code = main(argv + ["--orientation", "[" * 100_000])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad orientation '[[[")
+    assert captured.err.count("\n") == 1
 
 
 def test_nc_count_e6(capsys):
@@ -541,6 +602,22 @@ def test_verify_internal_error_is_a_failed_check(capsys, monkeypatch, exc,
     assert code == 1
     failed_only(checks, check, *also)
     assert checks[check]["counterexample"] == counterexample
+
+
+A3_MINUS = enumerate_kind(A3, "m-config-minus", 1)
+
+
+@pytest.mark.parametrize("exc", [MutationError, ValueError])
+@pytest.mark.parametrize("name", ["config_to_riedtmann", "riedtmann_to_config"])
+def test_riedtmann_internal_error_is_a_failed_check(capsys, monkeypatch, name, exc):
+    CallLog(monkeypatch, name, raise_at(2, exc))
+    code, payload = run(capsys, "riedtmann", "--type", "A3", "--verify")
+    assert capsys.readouterr().err == ""
+    assert code == 1
+    checks = {c["name"]: c for c in payload["checks"]}
+    failed_only(checks, "riedtmann round trip")
+    assert (checks["riedtmann round trip"]["counterexample"]
+            == collection_to_list(A3_MINUS[2]))
 
 
 def test_verify_counts_every_sequence_after_a_law_fails(capsys, monkeypatch):
@@ -754,16 +831,6 @@ def test_empty_collection_list_encodes_as_empty_array():
     assert "".join(_objects_chunks([], [])) == json.dumps([], indent=2)
 
 
-OUTPUT_COMMANDS = {
-    "enumerate": ["enumerate", "--type", "A2", "--m", "1", "--kind", "m-config"],
-    "nc": ["nc", "--type", "A2", "--m", "1"],
-    "verify": ["verify", "--type", "A2", "--m", "1"],
-    "riedtmann": ["riedtmann", "--type", "A2"],
-    "biject": ["biject", "--type", "A2", "--direction", "silting-to-config"],
-    "torsion": ["torsion", "--type", "A2", "--window", "-1:2"],
-}
-
-
 @pytest.mark.parametrize("command,option", [
     *((command, "--out") for command in sorted(OUTPUT_COMMANDS)),
     ("verify", "--csv"),
@@ -780,3 +847,120 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path, command, option):
     assert code == 2
     assert captured.err.startswith(f"error: cannot write {target}")
     assert captured.out == ""
+
+
+def test_internal_error_keeps_its_traceback(monkeypatch):
+    # main maps usage and output errors to exit 2, never an internal failure.
+    def fail(*args):
+        raise MutationError("injected")
+
+    monkeypatch.setattr(cli, "enumerate_kind_indexed", fail)
+    with pytest.raises(MutationError, match="injected"):
+        main(["enumerate", "--type", "A2", "--m", "1", "--kind", "m-config"])
+
+
+# The exit-code contract over generated malformed input.  Every option of
+# every subcommand comes from build_parser(); an option with no strategy
+# below fails the test, so a new option must say how to draw its values.
+SUBCOMMANDS = {
+    name: [action for action in sub._actions
+           if not isinstance(action, argparse._HelpAction)]
+    for action in cli.build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+    for name, sub in action.choices.items()
+}
+# Rank at most 4: simply-laced types half the time, else Weyl-only and
+# unknown ones.
+TYPES = st.one_of(st.sampled_from(["A1", "A2", "A3", "A4", "D4"]), st.sampled_from(
+    ["B2", "B3", "C3", "F4", "G2", "A0", "D3", "E9", "Q2", "a2"]))
+SCALARS = st.one_of(st.integers(-2, 3), st.floats(allow_nan=False), st.booleans(),
+                    st.text(max_size=3), st.none())
+KEYS = st.sampled_from(["dim", "deg", "reflection_words", "lo"])
+JSON = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(KEYS, inner, max_size=3), max_leaves=12)
+OBJECT = st.fixed_dictionaries({"dim": st.lists(SCALARS, max_size=4), "deg": SCALARS})
+RECORD = st.one_of(
+    st.lists(OBJECT, max_size=4),
+    st.fixed_dictionaries({"reflection_words": st.lists(
+        st.lists(st.lists(SCALARS, max_size=4), max_size=3), max_size=4)}),
+    st.just([{"dim": [1, 1], "deg": 0}, {"dim": [1, 0], "deg": 0}]),
+    st.just({"reflection_words": [[], [[1, 0], [0, 1]]]}),
+    JSON,
+)
+DEEP = "[" * 200_000
+RECORD_FILES = st.one_of(
+    st.lists(RECORD, max_size=4).map(json.dumps).map(str.encode),
+    JSON.map(json.dumps).map(str.encode),
+    st.sampled_from([b"", b"\xff\xfe[\x80]", b"[1,", DEEP.encode(),
+                     ("[" * 300 + "]" * 300).encode()]),
+)
+ORIENTATIONS = st.one_of(
+    st.lists(st.lists(st.integers(0, 5), min_size=2, max_size=2), max_size=4).map(
+        json.dumps),
+    JSON.map(json.dumps),
+    st.sampled_from(["", "not json", "[[1,2]", DEEP]),
+)
+OPTION_VALUES = {
+    "type": TYPES,
+    "m": st.one_of(st.integers(-2, 2).map(str), st.integers(1, 2).map(str),
+                   st.sampled_from(["1.5", "true", "x", ""])),
+    "orientation": ORIENTATIONS,
+    "window": st.one_of(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda w: f"{w[0]}:{w[1]}"), st.sampled_from(["", "1", "a:b", "1.5:2", "::"])),
+    "infile": RECORD_FILES,       # the file's bytes; the option gets its path
+    "out": st.sampled_from(["file", "missing", "directory"]),
+    "csv": st.sampled_from(["file", "missing", "directory"]),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand and its options, each drawn or left out; a required
+    option is left out once in twenty.  Values are [flag] or [flag, value]."""
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    options = []
+    for action in SUBCOMMANDS[command]:
+        if not draw(st.integers(0, 19).map(bool) if action.required else st.booleans()):
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            options.append([flag])
+        elif action.choices is not None:
+            options.append([flag, draw(st.sampled_from([*action.choices, "bogus"]))])
+        else:
+            options.append([flag, draw(OPTION_VALUES[action.dest])])
+    return command, options
+
+
+@settings(max_examples=200, deadline=None)
+@given(command_lines())
+def test_exit_code_contract(tmp_path_factory, drawn):
+    command, options = drawn
+    root = tmp_path_factory.getbasetemp() / "contract"
+    (root / "directory").mkdir(parents=True, exist_ok=True)
+    paths = {"file": root / "out", "missing": root / "missing" / "out",
+             "directory": root / "directory"}
+    argv = [command]
+    for option in options:
+        if option[0] == "--in":
+            (root / "in.json").write_bytes(option[1])
+            option = ["--in", str(root / "in.json")]
+        elif option[0] in ("--out", "--csv"):
+            option = [option[0], str(paths[option[1]])]
+        argv += option
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:     # argparse's own usage error
+            code = exc.code
+            assert code == 2
+            assert out.getvalue() == ""
+            return
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        json.loads(out.getvalue())
