@@ -11,6 +11,7 @@ import io
 import json
 import os
 import re
+import reprlib
 import sys
 import time
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from itertools import chain, cycle
 from math import factorial
 from typing import Iterable, Iterator
 
-from .derived import DObj, WindowSpec, nu_inv, obj_to_dict
+from .derived import DObj, WindowSpec, _require_categorical, nu_inv, obj_to_dict
 from .riedtmann import config_to_riedtmann, riedtmann_to_config, torsion_window
 from .roots import QuiverDescriptor, QuiverError, build_root_system, fuss_catalan
 from .sequences import (
@@ -31,7 +32,10 @@ from .silting import (
     enumerate_kind, enumerate_kind_indexed, explain_not_config,
     explain_not_silting, order_config, order_silting, silting_to_config,
 )
-from .weyl import enumerate_m_nc, generate_weyl, nc_from_dict, nc_to_dict, phi, phi_inverse
+from .weyl import (
+    _count_m_nc, enumerate_m_nc, generate_weyl, nc_from_words, nc_to_dict, nc_words, phi,
+    phi_inverse,
+)
 
 _TYPE_RE = re.compile(r"^([A-G])(\d+)$")
 
@@ -115,7 +119,7 @@ def _build(args) -> "RootSystemData":
             if not all(type(v) is int for arrow in arrows for v in arrow):
                 raise TypeError
         except (TypeError, ValueError, RecursionError):
-            raise QuiverError(f"bad orientation {args.orientation!r}; "
+            raise QuiverError(f"bad orientation {reprlib.repr(args.orientation)}; "
                               "expected a JSON list of [i, j] arrows") from None
         quiver = QuiverDescriptor(family, rank, arrows)
     else:
@@ -240,15 +244,15 @@ def cmd_nc(args) -> int:
     start = time.perf_counter()
     rs = _build(args)
     group = generate_weyl(rs)
-    tuples = enumerate_m_nc(group, args.m)
+    tuples = [] if args.count else enumerate_m_nc(group, args.m)
     report = RunReport("nc", f"{rs.family}{rs.n}", args.m)
-    report.counts["m-noncrossing-partitions"] = len(tuples)
+    report.counts["m-noncrossing-partitions"] = (
+        _count_m_nc(group, args.m) if args.count else len(tuples))
     report.elapsed = time.perf_counter() - start
     payload = report.to_dict()
     if not args.count:
-        payload["objects"] = [
-            nc_to_dict(group, t, with_matrices=args.matrices) for t in tuples
-        ]
+        payload["objects"] = [nc_to_dict(group, t, with_matrices=args.matrices)
+                              for t in tuples]
     _emit(args, _dumps(payload))
     return 0
 
@@ -292,11 +296,13 @@ def cmd_biject(args) -> int:
 
     def convert(record) -> dict:
         if args.direction == "nc-to-config":
-            parts = nc_from_dict(group, record)
-            if len(parts) != args.m + 1:
+            # Judged in order: the form, the part count, the family, the products.
+            words = nc_words(rs, record)
+            if len(words) != args.m + 1:
                 raise ValueError(f"an m-noncrossing partition for m = {args.m} "
-                                 f"has {args.m + 1} parts, found {len(parts)}")
-            return {"output": collection_to_list(phi(group, parts))}
+                                 f"has {args.m + 1} parts, found {len(words)}")
+            _require_categorical(rs)
+            return {"output": collection_to_list(phi(group, nc_from_words(group, words)))}
         col = collection_from_list(rs, record)
         if args.direction == "config-to-nc":
             return {"output": nc_to_dict(group, phi_inverse(group, col, args.m))}

@@ -1,19 +1,17 @@
 """Weyl-group layer: reflections, absolute length, noncrossing partitions.
 
-Group elements are integer matrices acting on the simple-root basis of K_0
-(column convention).  An m-noncrossing partition is an (m+1)-tuple of
-elements whose product is the Coxeter element c with additive absolute
-lengths.  Each u in [1, c] carries its wide subcategory W(u) = {X : t_X <= u}
-as a bitmask over the positive roots.  W(u) determines u, so [1, c] is
-answered by perpendicular masks alone: its intervals, cofactors and reduced
-words, and phi_inverse, which takes each degree to the double perpendicular
-of its roots.  phi places the simples of each W(u), read off the Hom table,
-in degrees m, ..., 0.  Matrices serve the JSON edge and phi's input check.
+An element u of [1, c] is its wide subcategory W(u) = {X : t_X <= u}, a
+bitmask over the positive roots, as W(u) determines u (Ingalls-Thomas).  An
+m-noncrossing partition is an (m+1)-tuple of masks whose elements multiply
+to the Coxeter element c with additive absolute lengths.  Perpendicular
+masks answer all of [1, c]; phi places the simples of each W(u), read off
+the Hom table, in degrees m, ..., 0.  Integer matrices on K_0 (column
+convention) serve only the listing order, WeylGroup.matrix and records.
 """
 from __future__ import annotations
 
 from functools import cache, reduce
-from operator import and_, mul
+from operator import and_, mul, or_
 from typing import Iterable, Iterator
 
 from .derived import DObj, _require_categorical
@@ -25,24 +23,18 @@ from .sequences import MutationError, _bits, _words
 from .silting import DCollection, collection, is_m_config
 
 WeylElt = IntMatrix
-NCTuple = tuple[WeylElt, ...]
+NCTuple = tuple[int, ...]
 
 
 def _coroot(rs: RootSystemData, root: int) -> DimVector:
     """The vector beta with reflection_matrix(rs, root) = id - alpha beta^T:
     beta_j = 2 (alpha, e_j) / (alpha, alpha) under rs.sym_matrix."""
-    n = rs.n
     alpha = rs.positive_roots[root]
-    aa = sum(alpha[i] * rs.sym_matrix[i][j] * alpha[j]
-             for i in range(n) for j in range(n))
-    beta = []
-    for j in range(n):
-        pairing = sum(rs.sym_matrix[i][j] * alpha[i] for i in range(n))
-        coeff, rem = divmod(2 * pairing, aa)
-        if rem:
-            raise MutationError("non-integral reflection matrix entry")
-        beta.append(coeff)
-    return tuple(beta)
+    pairings = [sum(map(mul, alpha, column)) for column in zip(*rs.sym_matrix)]
+    aa = sum(map(mul, pairings, alpha))
+    if any(2 * p % aa for p in pairings):
+        raise MutationError("non-integral reflection matrix entry")
+    return tuple(2 * p // aa for p in pairings)
 
 
 def reflection_matrix(rs: RootSystemData, root: int) -> WeylElt:
@@ -59,49 +51,38 @@ def coxeter_element(rs: RootSystemData) -> WeylElt:
 
 
 class WeylGroup:
-    """The noncrossing interval [1, c] of a Weyl group, with its reflections
-    and Coxeter element c = s_1 ... s_n.
-
-    [1, c] holds the elements below c in the absolute order; it has the
-    Catalan number fuss_catalan(rs, 1) of elements, far fewer than the
-    group.  Each element u carries its absolute length and its wide mask,
-    the roots of the reflections t <= u: the indecomposables of the wide
-    subcategory W(u), which determines u (Ingalls-Thomas).  u <= v exactly
-    when the mask of u lies in the mask of v.  The interval is found by
-    descent from (c, every root): below u lie the t_x.u for x in W(u), with
-    W(t_x.u) = W(u) & perp[x] (roots.perp_masks), as the terms after x in
-    an exceptional sequence lie in its perpendicular category.  A new mask
-    costs one rank-one update of u.  For the A, D, E families the group
-    also keeps, for each root x, the mask of the other roots y with a
-    nonzero map M_y -> M_x and dim M_y <= dim M_x, read off the Hom table;
-    phi reads the simples of each W(u) from these.
+    """The noncrossing interval [1, c] of a Weyl group, c = s_1 ... s_n: the
+    fuss_catalan(rs, 1) elements below c in the absolute order, as wide
+    masks.  u <= v exactly when the mask of u lies in that of v; `identity`
+    is 0, `coxeter` the mask of every root, and the reflection along root x
+    is 1 << x.  The interval is found by descent from c: below u lie the
+    t_x.u for x in W(u), with W(t_x.u) = W(u) & perp[x] (roots.perp_masks),
+    as the terms after x in an exceptional sequence lie in its perpendicular
+    category.  A new mask gets its matrix by one rank-one update; the
+    matrices order `elements`, and so every listing.  For the A, D, E
+    families, phi reads the simples of each W(u) off the masks of the roots
+    y != x with a nonzero map M_y -> M_x and dim M_y <= dim M_x, per root x.
     """
 
     def __init__(self, rs: RootSystemData):
-        n = rs.n
         self.rs = rs
-        self.identity: WeylElt = mat_identity(n)
-        self.reflections: tuple[WeylElt, ...] = tuple(
-            reflection_matrix(rs, r) for r in range(len(rs.positive_roots))
-        )
-        if len(set(self.reflections)) != len(rs.positive_roots):
-            raise MutationError("reflections along distinct roots coincide")
-        self.coxeter: WeylElt = coxeter_element(rs)
         self._perp = perp = perp_masks(rs)
-        self._coroots = tuple(_coroot(rs, r) for r in range(len(rs.positive_roots)))
-
-        full = (1 << len(rs.positive_roots)) - 1
-        self._by_mask = by_mask = {full: self.coxeter}
-        self._interval = interval = {self.coxeter: (n, full)}
+        self.identity = 0
+        self.coxeter = full = (1 << len(rs.positive_roots)) - 1
+        coroots = [_coroot(rs, r) for r in range(len(rs.positive_roots))]
+        self._matrix = matrix = {full: coxeter_element(rs)}
         for mask, x, child in _descent(perp, full):
-            u = by_mask[mask]
-            tu = by_mask[child] = self._reflect(x, u)
-            interval[tu] = (interval[u][0] - 1, child)
+            # t_x.u = u - alpha (beta^T u) for t_x = id - alpha beta^T.
+            u = matrix[mask]
+            bu = [sum(map(mul, coroots[x], col)) for col in zip(*u)]
+            matrix[child] = tuple(tuple(y - a * z for y, z in zip(row, bu))
+                                  for a, row in zip(rs.positive_roots[x], u))
+        self._mask_of = {u: mask for mask, u in matrix.items()}
         expected = fuss_catalan(rs, 1)
-        if len(interval) != expected or len(by_mask) != expected:
-            raise MutationError(f"descent from c found {len(interval)} elements, "
-                                f"expected {expected}")
-        self.elements: tuple[WeylElt, ...] = tuple(sorted(interval))
+        if len(self._mask_of) != expected or len(matrix) != expected:
+            raise MutationError(f"descent from c found {len(self._mask_of)} "
+                                f"elements, expected {expected}")
+        self.elements: tuple[int, ...] = tuple(sorted(matrix, key=matrix.__getitem__))
 
         self._subobjects: tuple[int, ...] | None = None
         if rs.hom_table is not None:
@@ -112,27 +93,19 @@ class WeylGroup:
                     if y != x and hom[y][x] and h <= heights[x])
                 for x in range(len(heights)))
 
-    def _reflect(self, r: int, u: WeylElt) -> WeylElt:
-        """t.u for the reflection t = id - alpha beta^T along root r: the
-        rank-one update u - alpha (beta^T u)."""
-        bu = [sum(map(mul, self._coroots[r], col)) for col in zip(*u)]
-        return tuple(tuple(y - a * z for y, z in zip(row, bu))
-                     for a, row in zip(self.rs.positive_roots[r], u))
+    def matrix(self, u: int) -> WeylElt:
+        """The matrix of an element of [1, c]."""
+        return self._matrix[u]
 
-    def _wide_mask(self, w: WeylElt) -> int:
-        """The roots of W(w) = {X : t_X <= w}, as a bitmask; w in [1, c]."""
-        return self._interval[w][1]
+    def abs_length(self, u: int) -> int:
+        """The length of the T-reduced words of u in [1, c]; ValueError off it."""
+        if not self.below_coxeter(u):
+            raise ValueError("element is not below the Coxeter element in absolute order")
+        return len(next(_words(self._perp, u)))
 
-    def abs_length(self, w: WeylElt) -> int:
-        """The reflection length of an element of [1, c]; ValueError off it."""
-        if w not in self._interval:
-            raise ValueError("element is not below the Coxeter element in "
-                             "absolute order")
-        return self._interval[w][0]
-
-    def below_coxeter(self, w: WeylElt) -> bool:
-        """Whether w lies below c in the absolute order."""
-        return w in self._interval
+    def below_coxeter(self, u: int) -> bool:
+        """Whether u is the mask of an element below c in the absolute order."""
+        return u in self._matrix
 
 
 def _descent(perp: tuple[int, ...], top: int) -> Iterator[tuple[int, int, int]]:
@@ -155,6 +128,19 @@ def _left_perp(perp: tuple[int, ...], mask: int) -> int:
     return reduce(and_, map(perp.__getitem__, _bits(mask)), -1)
 
 
+def _check_chain(group: WeylGroup, parts: Iterable[int], error: type[Exception]) -> None:
+    """Raise `error` unless the parts are a T-reduced factorization of c: each
+    part u lies in [1, v], v what the parts before it leave (u^-1 v has mask
+    W(v) & the perpendicular of W(u)), and the last part leaves nothing."""
+    remaining = group.coxeter
+    for u in parts:
+        if u & ~remaining or not group.below_coxeter(u):
+            raise error("tuple is not T-reduced: lengths do not add to the rank")
+        remaining &= _left_perp(group._perp, u)
+    if remaining:
+        raise error("tuple does not multiply to the Coxeter element")
+
+
 def generate_weyl(rs: RootSystemData) -> WeylGroup:
     return WeylGroup(rs)
 
@@ -165,41 +151,54 @@ def generate_weyl(rs: RootSystemData) -> WeylGroup:
 
 def enumerate_m_nc(group: WeylGroup, m: int) -> list[NCTuple]:
     """All (m+1)-tuples multiplying to the Coxeter element with additive
-    reflection lengths, in ascending order.  m = 0 gives the singleton (c,).
-
-    A depth-first walk fixes one part at a time.  What a prefix leaves, v,
-    splits as u times the T-reduced cofactor u^-1 v for each u in [1, v],
-    the masks below W(v); W(u^-1 v) = W(v) & the perpendicular of W(u).
-    Once v is the identity, so is every later part.
+    reflection lengths, in ascending order of their matrices; m = 0 gives
+    (c,).  A depth-first walk fixes one part at a time.  What a prefix
+    leaves, v, splits as u times the T-reduced cofactor u^-1 v for each u in
+    [1, v], the masks below W(v); W(u^-1 v) = W(v) & the perpendicular of
+    W(u).  Once v is the identity, so is every later part.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    perp, by_mask = group._perp, group._by_mask
+    perp, matrix = group._perp, group._matrix
     left_perp = cache(lambda u: _left_perp(perp, u))
     # [1, v] descending, so that the stack hands the parts out ascending.
     below = cache(lambda v: sorted([v, *(child for _, _, child in _descent(perp, v))],
-                                   key=by_mask.__getitem__, reverse=True))
+                                   key=matrix.__getitem__, reverse=True))
     out: list[NCTuple] = []
-    stack = [((), group._wide_mask(group.coxeter))]
+    stack = [((), group.coxeter)]
     while stack:
         prefix, v = stack.pop()
         if len(prefix) == m or not v:
-            out.append(prefix + (by_mask[v],) + (group.identity,) * (m - len(prefix)))
+            out.append(prefix + (v,) + (0,) * (m - len(prefix)))
         else:
-            stack += [(prefix + (by_mask[u],), v & left_perp(u)) for u in below(v)]
+            stack += [(prefix + (u,), v & left_perp(u)) for u in below(v)]
     return out
 
 
-def reflection_factorizations(group: WeylGroup, w: WeylElt,
-                              first_only: bool = False) -> list[tuple[int, ...]]:
-    """T-reduced words for w, as tuples of positive-root indices.
+def _count_m_nc(group: WeylGroup, m: int) -> int:
+    """len(enumerate_m_nc(group, m)), without listing.  The k-tuples after a
+    prefix that leaves v number count_k(v), the sum of count_{k-1}(W(v) &
+    perp W(u)) over u in [1, v], and count_0 = 1.  As u -> u^-1 v permutes
+    [1, v], that is the sum of count_{k-1} over [1, v].  Each [1, v] is a
+    bitset over [1, c] by size: v and the union of those of its children."""
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    counts = [1] * len(group.elements)     # count_{m-1} on [1, c], here for m = 1
+    if m >= 2:
+        below: dict[int, int] = {}
+        for i, v in enumerate(sorted(group.elements, key=int.bit_count)):
+            below[v] = reduce(or_, (below[v & group._perp[x]] for x in _bits(v)), 1 << i)
+        counts = [b.bit_count() for b in below.values()]
+        for _ in range(m - 2):
+            counts = [sum(map(counts.__getitem__, _bits(b))) for b in below.values()]
+    return sum(counts) if m else 1
 
-    Requires w below the Coxeter element in absolute order.
-    """
+
+def reflection_factorizations(group: WeylGroup, w: int) -> list[tuple[int, ...]]:
+    """T-reduced words for w in [1, c], as tuples of positive-root indices."""
     if not group.below_coxeter(w):
         raise ValueError("element is not below the Coxeter element in absolute order")
-    words = _words(group._perp, group._wide_mask(w))
-    return [next(words)] if first_only else list(words)
+    return list(_words(group._perp, w))
 
 
 def reflection_of_object(x: DObj) -> WeylElt:
@@ -218,16 +217,6 @@ def sequence_reflection_product(seq: Iterable[DObj]) -> WeylElt:
 # ---------------------------------------------------------------------------
 # The bijection phi between noncrossing partitions and configurations.
 # ---------------------------------------------------------------------------
-
-def _validate_nc(group: WeylGroup, parts: NCTuple) -> None:
-    if not parts or reduce(mat_mul, parts) != group.coxeter:
-        raise ValueError("tuple does not multiply to the Coxeter element")
-    # A factor of a T-reduced factorization of c lies below c (Hurwitz
-    # moves bring it to the front), so a part off [1, c] gets this verdict.
-    if (not all(map(group.below_coxeter, parts))
-            or sum(map(group.abs_length, parts)) != group.rs.n):
-        raise ValueError("tuple is not T-reduced: lengths do not add to the rank")
-
 
 def _simple_roots(group: WeylGroup, mask: int) -> list[int]:
     """The simples of the wide subcategory W with root mask `mask`, in root
@@ -252,11 +241,11 @@ def phi(group: WeylGroup, parts: NCTuple) -> DCollection:
     """
     rs = group.rs
     _require_categorical(rs)
-    _validate_nc(group, parts)
+    _check_chain(group, parts, ValueError)
     m = len(parts) - 1
     out = []
     for i, u in enumerate(parts, start=1):
-        simples = _simple_roots(group, group._wide_mask(u))
+        simples = _simple_roots(group, u)
         if len(simples) != group.abs_length(u):
             raise MutationError(f"wide subcategory has {len(simples)} simples, "
                                 f"expected {group.abs_length(u)}")
@@ -271,26 +260,17 @@ def phi_inverse(group: WeylGroup, col: DCollection, m: int) -> NCTuple:
     """Send an m-configuration to its m-noncrossing partition: degree d
     gives part m+1-d, the u whose W(u) is generated by the degree-d roots C.
     That is the double perpendicular: the AND of perp[y] over the roots y of
-    the right perpendicular of C, those with C in perp[y].
-
-    The parts must form a chain: each lies in what the parts before it leave
-    of W(c), and leaves that & the perpendicular of its own mask.  The chain
-    ends at 0 exactly when the parts are a T-reduced factorization of c.
-    """
+    the right perpendicular of C, those with C in perp[y].  The parts must
+    pass the chain check of phi."""
     if not is_m_config(col, m):
         raise ValueError("input is not an m-configuration")
-    perp, full = group._perp, group._wide_mask(group.coxeter)
-    remaining, parts = full, []
+    perp, full = group._perp, group.coxeter
+    parts = []
     for degree in range(m, -1, -1):
         chunk = sum(1 << x.root for x in col.objects if x.degree == degree)
         right = sum(1 << y for y, left in enumerate(perp) if not chunk & ~left)
-        mask = full & _left_perp(perp, right)
-        if mask & ~remaining or mask not in group._by_mask:
-            raise MutationError("chunk does not give a T-reduced part")
-        remaining &= _left_perp(perp, mask)
-        parts.append(group._by_mask[mask])
-    if remaining:
-        raise MutationError("parts do not multiply to the Coxeter element")
+        parts.append(full & _left_perp(perp, right))
+    _check_chain(group, parts, MutationError)
     return tuple(parts)
 
 
@@ -299,18 +279,16 @@ def phi_inverse(group: WeylGroup, col: DCollection, m: int) -> NCTuple:
 # ---------------------------------------------------------------------------
 
 def nc_to_dict(group: WeylGroup, parts: NCTuple, with_matrices: bool = False) -> dict:
-    words = []
-    for u in parts:
-        word = reflection_factorizations(group, u, first_only=True)[0]
-        words.append([list(group.rs.positive_roots[r]) for r in word])
-    data: dict = {"reflection_words": words}
+    roots = group.rs.positive_roots
+    data: dict = {"reflection_words": [
+        [list(roots[r]) for r in next(_words(group._perp, u))] for u in parts]}
     if with_matrices:
-        data["matrices"] = [[list(row) for row in u] for u in parts]
+        data["matrices"] = [[list(row) for row in group.matrix(u)] for u in parts]
     return data
 
 
-def nc_from_dict(group: WeylGroup, data: dict) -> NCTuple:
-    rs = group.rs
+def nc_words(rs: RootSystemData, data: dict) -> list[list[int]]:
+    """The reflection words of a noncrossing record, as root indices."""
     try:
         words = [[tuple(dim) for dim in word] for word in data["reflection_words"]]
         if not all(type(c) is int for word in words for dim in word for c in dim):
@@ -318,5 +296,19 @@ def nc_from_dict(group: WeylGroup, data: dict) -> NCTuple:
     except (KeyError, TypeError):
         raise ValueError(f"noncrossing record {data!r} is not of the form "
                          '{"reflection_words": [[root, ...], ...]}') from None
-    return tuple(reduce(mat_mul, (group.reflections[rs.root_of(dim)] for dim in word),
-                        group.identity) for word in words)
+    return [[rs.root_of(dim) for dim in word] for word in words]
+
+
+def nc_from_words(group: WeylGroup, words: list[list[int]]) -> NCTuple:
+    """The m-noncrossing partition whose parts are the products of the
+    reflections along the words; ValueError unless the products, not the
+    words, multiply to c and are T-reduced."""
+    one = mat_identity(group.rs.n)
+    products = [reduce(mat_mul, (group.matrix(1 << r) for r in word), one) for word in words]
+    if reduce(mat_mul, products, one) != group.matrix(group.coxeter):
+        raise ValueError("tuple does not multiply to the Coxeter element")
+    # -1, no element, fails the chain: a factor of a T-reduced
+    # factorization of c lies below c (Hurwitz moves bring it to the front).
+    parts = tuple(group._mask_of.get(u, -1) for u in products)
+    _check_chain(group, parts, ValueError)
+    return parts

@@ -44,7 +44,7 @@ from exseq.silting import (
     DCollection, collection, is_hom_leq0_config, is_m_config, order_config,
 )
 from exseq.weyl import (
-    NCTuple, WeylElt, WeylGroup, _validate_nc, coxeter_element, mat_mul,
+    NCTuple, WeylElt, WeylGroup, coxeter_element, mat_identity, mat_mul,
     reflection_matrix,
 )
 
@@ -329,14 +329,17 @@ def enumerate_tilting_oracle(rs: RootSystemData) -> list[frozenset[int]]:
 # Reflection length by Cayley-graph search.
 # ---------------------------------------------------------------------------
 
-def cayley_abs_lengths(group: WeylGroup) -> dict:
-    """BFS distance from the identity over the full reflection generating set."""
-    dist = {group.identity: 0}
-    frontier = [group.identity]
+def cayley_abs_lengths(group: WeylGroup) -> dict[WeylElt, int]:
+    """BFS distance from the identity over the full reflection generating
+    set, keyed by matrix."""
+    one = group.matrix(group.identity)
+    reflections = [group.matrix(1 << r) for r in range(len(group.rs.positive_roots))]
+    dist = {one: 0}
+    frontier = [one]
     while frontier:
         nxt = []
         for w in frontier:
-            for t in group.reflections:
+            for t in reflections:
                 new = mat_mul(t, w)
                 if new not in dist:
                     dist[new] = dist[w] + 1
@@ -416,56 +419,57 @@ def fixed_space_interval(rs: RootSystemData) -> dict[IntMatrix, tuple[int, int]]
 
 def enumerate_m_nc_scan(group: WeylGroup, m: int) -> list[NCTuple]:
     """All (m+1)-tuples multiplying to the Coxeter element with additive
-    reflection lengths.  m = 0 gives the singleton (c,)."""
+    reflection lengths, in ascending order of their matrices.  m = 0 gives
+    the singleton (c,)."""
     if m < 0:
         raise ValueError("m must be non-negative")
     out: list[NCTuple] = []
-    full = group._wide_mask(group.coxeter)
     # Per u, the mask of the perpendicular category of all of W(u).
-    entries = [(u, mask, reduce(and_, map(group._perp.__getitem__, _bits(mask)), full))
-               for u, (_, mask) in group._interval.items()]
+    entries = [(u, reduce(and_, map(group._perp.__getitem__, _bits(u)), group.coxeter))
+               for u in group.elements]
 
-    def split(v_mask: int, parts: int, prefix: tuple[WeylElt, ...]) -> None:
+    def split(v: int, parts: int, prefix: NCTuple) -> None:
         if parts == 1:
-            out.append(prefix + (group._by_mask[v_mask],))
+            out.append(prefix + (v,))
             return
-        for u, mask, u_perp in entries:
+        for u, u_perp in entries:
             # u <= v exactly when W(u) lies in W(v), and then the T-reduced
             # cofactor u^-1 v has W(u^-1 v) = W(v) & the perpendicular of W(u).
-            if not mask & ~v_mask:
-                split(v_mask & u_perp, parts - 1, prefix + (u,))
+            if not u & ~v:
+                split(v & u_perp, parts - 1, prefix + (u,))
 
-    split(full, m + 1, ())
-    out.sort()
+    split(group.coxeter, m + 1, ())
+    out.sort(key=lambda parts: list(map(group.matrix, parts)))
     return out
 
 
-def _word_product(group: WeylGroup, word: list[int]) -> WeylElt:
-    """The product of the reflections along a word of root indices, by
-    rank-one updates from the right; the identity for the empty word."""
-    u = group.reflections[word[-1]] if word else group.identity
-    for r in reversed(word[:-1]):
-        u = group._reflect(r, u)
-    return u
+@cache
+def _word_product(group: WeylGroup, word: tuple[int, ...]) -> WeylElt:
+    """The product of the reflections along a word of root indices."""
+    return reduce(mat_mul, (group.matrix(1 << r) for r in word),
+                  mat_identity(group.rs.n))
 
 
 def phi_inverse_matrix(group: WeylGroup, col: DCollection, m: int) -> NCTuple:
     """Send an m-configuration to its m-noncrossing partition: chunk the
     configuration by degree (degree d contributes part m+1-d) and multiply
-    the reflections of each chunk in exceptional order."""
+    the reflections of each chunk in exceptional order.  Each product must
+    be an element of [1, c] of length the chunk size, and the products must
+    multiply to c with lengths adding to the rank.  Returns their masks."""
     if not is_m_config(col, m):
         raise ValueError("input is not an m-configuration")
+    rs, masks = group.rs, group._mask_of
     seq = order_config(col)
-    parts = []
+    products = []
     for i in range(1, m + 2):
-        chunk = [x for x in seq if x.degree == m + 1 - i]
-        u = _word_product(group, [x.root for x in chunk])
-        if not group.below_coxeter(u) or group.abs_length(u) != len(chunk):
+        chunk = tuple(x.root for x in seq if x.degree == m + 1 - i)
+        u = _word_product(group, chunk)
+        if u not in masks or group.abs_length(masks[u]) != len(chunk):
             raise MutationError("chunk product is not T-reduced")
-        parts.append(u)
-    result = tuple(parts)
-    _validate_nc(group, result)
-    return result
+        products.append(u)
+    if reduce(mat_mul, products) != group.matrix(group.coxeter) or len(seq) != rs.n:
+        raise MutationError("chunk products are not a T-reduced factorization of c")
+    return tuple(masks[u] for u in products)
 
 
 # ---------------------------------------------------------------------------

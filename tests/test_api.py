@@ -110,8 +110,7 @@ SIGNATURES = {
         "(rs: 'RootSystemData', x: 'DimVector', "
         "v: 'DimVector') -> 'DimVector'",
     'reflection_factorizations':
-        "(group: 'WeylGroup', w: 'WeylElt', "
-        "first_only: 'bool' = False) -> 'list[tuple[int, ...]]'",
+        "(group: 'WeylGroup', w: 'int') -> 'list[tuple[int, ...]]'",
     'reflection_matrix': "(rs: 'RootSystemData', root: 'int') -> 'WeylElt'",
     'reflection_of_object': "(x: 'DObj') -> 'WeylElt'",
     'riedtmann_to_config': "(p: 'PeriodicConfig') -> 'DCollection'",
@@ -147,3 +146,18 @@ def test_public_signatures_are_pinned():
     found = {name: str(inspect.signature(getattr(exseq, name)))
              for name in exseq.__all__ if _pinned(getattr(exseq, name))}
     assert found == SIGNATURES
+
+
+# The public attributes of a WeylGroup.  Its elements are wide masks; the
+# matrix of one is read through `matrix`, and the matrix tuple
+# `reflections` is gone (the reflection along root r is the mask 1 << r).
+WEYL_GROUP_ATTRIBUTES = [
+    'abs_length', 'below_coxeter', 'coxeter', 'elements', 'identity',
+    'matrix', 'rs',
+]
+
+
+def test_weyl_group_attributes_are_pinned():
+    rs = exseq.build_root_system(exseq.QuiverDescriptor.standard("A", 2))
+    group = exseq.generate_weyl(rs)
+    assert [n for n in dir(group) if not n.startswith("_")] == WEYL_GROUP_ATTRIBUTES

@@ -219,6 +219,33 @@ def test_biject_nc_to_config_keeps_record_verdicts(capsys, tmp_path):
     assert wrong["error"] == "tuple does not multiply to the Coxeter element"
 
 
+# A record that fails two checks gets the verdict of the earlier check: its
+# form (an unknown root included), its part count, the family, whether the
+# products give c, whether they are T-reduced.
+S1, S2, C_INV = [[1, 0, 0]], [[0, 1, 0]], [[0, 1], [1, 0]]
+VERDICT_ORDER = [
+    ("A3", [S1, S2, S1], "an m-noncrossing partition for m = 1 has 2 parts, found 3"),
+    ("B2", [[[1, 0]], [[1, 0]], [[1, 0]]],
+     "an m-noncrossing partition for m = 1 has 2 parts, found 3"),
+    ("B2", [[[1, 0]], [[1, 0]]], "family B is Weyl-only; derived-category "
+     "operations require a simply-laced (A, D, E) quiver"),
+    ("A3", [[[2, 0, 0]], S2, S1], "(2, 0, 0) is not a positive root"),
+    ("B2", [[[2, 0]], [[1, 0]]], "(2, 0) is not a positive root"),
+    ("A2", [C_INV, [[1, 0]]], "tuple does not multiply to the Coxeter element"),
+    ("A2", [C_INV, C_INV], "tuple is not T-reduced: lengths do not add to the rank"),
+]
+
+
+@pytest.mark.parametrize("family,words,error", VERDICT_ORDER)
+def test_biject_nc_to_config_verdict_order(capsys, tmp_path, family, words, error):
+    infile = tmp_path / "nc.json"
+    infile.write_text(json.dumps([{"reflection_words": words}]))
+    code, payload = run(capsys, "biject", "--type", family, "--m", "1",
+                        "--direction", "nc-to-config", "--in", str(infile))
+    assert code == 1
+    assert payload["records"][0]["error"] == error
+
+
 def test_biject_nc_to_config_rejects_weyl_only_family(capsys, tmp_path):
     # B2 has noncrossing partitions but no Hom table to read simples from.
     infile = tmp_path / "nc.json"
@@ -402,6 +429,14 @@ def test_deeply_nested_orientation_is_usage_error(capsys, tmp_path, command):
     assert captured.out == ""
     assert captured.err.startswith("error: bad orientation '[[[")
     assert captured.err.count("\n") == 1
+
+
+def test_bad_orientation_echo_is_bounded(capsys):
+    code = main(["nc", "--type", "A2", "--m", "1", "--orientation", "[" * 100_000])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: bad orientation '[[[")
+    assert len(err) < 200
 
 
 def test_nc_count_e6(capsys):

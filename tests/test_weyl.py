@@ -1,16 +1,17 @@
 """Weyl group layer: lengths, noncrossing partitions, phi."""
 import itertools
+from functools import reduce
 
 import pytest
 
 from exseq import (
-    DObj, collection, coxeter_element, enumerate_complete_sequences,
+    DObj, QuiverDescriptor, collection, coxeter_element, enumerate_complete_sequences,
     enumerate_kind, enumerate_m_nc, fuss_catalan, generate_weyl, is_exceptional,
     mutate, phi, phi_inverse, proj, reflection_factorizations,
     reflection_matrix, reflection_of_object, sequence_reflection_product,
     shift, simple,
 )
-from exseq.weyl import mat_identity, mat_mul, nc_from_dict, nc_to_dict
+from exseq.weyl import mat_identity, mat_mul, nc_from_words, nc_to_dict, nc_words
 
 from oracle import (
     abs_length, admissible_quivers, cayley_abs_lengths, enumerate_m_nc_scan,
@@ -24,7 +25,11 @@ def test_group_sizes(a1, a2, b2):
         group = generate_weyl(rs)
         assert len(cayley_abs_lengths(group)) == order
         assert len(group.elements) == fuss_catalan(rs, 1)
-        assert len(group.reflections) == reflections
+        assert sum(group.abs_length(u) == 1 for u in group.elements) == reflections
+
+
+def _masks_by_matrix(group):
+    return {group.matrix(u): u for u in group.elements}
 
 
 def test_coxeter_element_order(a2, a3, d4, b2):
@@ -47,7 +52,8 @@ def test_abs_length_values(a2, a3, d4, b2):
     for rs in (a2, a3, d4, b2):
         group = generate_weyl(rs)
         assert group.abs_length(group.identity) == 0
-        assert all(group.abs_length(t) == 1 for t in group.reflections)
+        assert all(group.abs_length(1 << r) == 1
+                   for r in range(len(rs.positive_roots)))
         assert group.abs_length(group.coxeter) == rs.n
 
 
@@ -56,21 +62,24 @@ def test_abs_length_matches_cayley_bfs(a3, b2):
         group = generate_weyl(rs)
         dist = cayley_abs_lengths(group)
         assert len(dist) == rs.weyl_order()
+        masks = _masks_by_matrix(group)
         for w, length in dist.items():
             assert abs_length(rs, w) == length
-            if group.below_coxeter(w):
-                assert group.abs_length(w) == length
-            else:
-                with pytest.raises(ValueError, match="not below the Coxeter"):
-                    group.abs_length(w)
+            if w in masks:
+                assert group.abs_length(masks[w]) == length
+        # A mask that names no element of [1, c] has no length.
+        for u in set(range(1 << len(rs.positive_roots))) - set(group.elements):
+            with pytest.raises(ValueError, match="not below the Coxeter"):
+                group.abs_length(u)
 
 
 def _interval_oracle(group):
     """[1, c] as {w : d(w) + d(w^-1 c) = n}, d the Cayley-graph distance."""
     dist = cayley_abs_lengths(group)
-    c_inv = group.identity    # c has order h, so c^-1 = c^(h-1)
+    c = group.matrix(group.coxeter)
+    c_inv = mat_identity(group.rs.n)    # c has order h, so c^-1 = c^(h-1)
     for _ in range(group.rs.coxeter_number - 1):
-        c_inv = mat_mul(c_inv, group.coxeter)
+        c_inv = mat_mul(c_inv, c)
     # d(w^-1 c) = d(c^-1 w), since an element and its inverse have one length.
     return {w for w, length in dist.items()
             if length + dist[mat_mul(c_inv, w)] == group.rs.n}
@@ -81,7 +90,7 @@ def test_interval_matches_cayley_bfs(b2, d4):
     quivers = [d4.quiver] + list(admissible_quivers("A", 3))
     for rs in [b2] + [build_root_system(q) for q in quivers]:
         group = generate_weyl(rs)
-        assert set(group.elements) == _interval_oracle(group), rs.quiver
+        assert set(_masks_by_matrix(group)) == _interval_oracle(group), rs.quiver
 
 
 def test_interval_matches_fixed_space_descent():
@@ -97,8 +106,9 @@ def test_interval_matches_fixed_space_descent():
         rs = build_root_system(q)
         group = generate_weyl(rs)
         oracle = fixed_space_interval(rs)
-        assert group._interval == oracle, q
-        assert group.elements == tuple(sorted(oracle)), q
+        assert {group.matrix(u): (group.abs_length(u), u)
+                for u in group.elements} == oracle, q
+        assert [group.matrix(u) for u in group.elements] == sorted(oracle), q
 
 
 def test_reflection_matrices_are_involutions(d4):
@@ -158,8 +168,56 @@ def test_phi_inverse_rejects_a_broken_chain(a2, monkeypatch):
     monkeypatch.setattr(weyl, "is_m_config", lambda col, m: True)
     group = generate_weyl(a2)
     s1, s2 = simple(a2, 1), simple(a2, 2)
-    with pytest.raises(MutationError, match="T-reduced part"):
+    with pytest.raises(MutationError, match="T-reduced"):
         phi_inverse(group, collection([shift(s1, 1), shift(s2, 1), s1]), 1)
+
+
+@pytest.mark.parametrize("family,rank,every_numbering,arity", [
+    ("A", 3, True, 2), ("A", 4, True, 2), ("D", 4, True, 2),
+    ("A", 3, False, 3), ("B", 2, False, 3), ("B", 3, False, 2), ("G", 2, False, 2),
+])
+def test_chain_check_matches_matrix_verdict(family, rank, every_numbering, arity):
+    # The chain check of phi and phi_inverse against the verdict of the
+    # matrices on every tuple of elements of [1, c]: the parts multiply to c
+    # and their lengths, by the fixed space, add to the rank.
+    from exseq import QuiverDescriptor, build_root_system
+    from exseq.weyl import _check_chain
+    quivers = (admissible_quivers(family, rank) if every_numbering
+               else [QuiverDescriptor.standard(family, rank)])
+    for q in quivers:
+        rs = build_root_system(q)
+        group = generate_weyl(rs)
+        c = group.matrix(group.coxeter)
+        lengths = {u: abs_length(rs, group.matrix(u)) for u in group.elements}
+        for parts in itertools.product(group.elements, repeat=arity):
+            expected = (reduce(mat_mul, map(group.matrix, parts)) == c
+                        and sum(map(lengths.__getitem__, parts)) == rs.n)
+            try:
+                _check_chain(group, parts, ValueError)
+            except ValueError:
+                assert not expected, (q, parts)
+            else:
+                assert expected, (q, parts)
+
+
+COUNT_CASES = [(q, m) for family, rank in (("A", 3), ("A", 4), ("D", 4), ("D", 5))
+               for q in (QuiverDescriptor.standard(family, rank),
+                         seeded_quiver(family, rank, 2))
+               for m in range(4)]
+COUNT_CASES += [(QuiverDescriptor.standard(family, rank), m)
+                for family, rank in (("B", 3), ("F", 4), ("G", 2)) for m in range(4)]
+
+
+def test_count_memo_matches_listing():
+    from exseq import build_root_system
+    from exseq.weyl import _count_m_nc
+    for q, m in COUNT_CASES:
+        rs = build_root_system(q)
+        group = generate_weyl(rs)
+        assert (_count_m_nc(group, m) == fuss_catalan(rs, m)
+                == len(enumerate_m_nc(group, m))), (q, m)
+    with pytest.raises(ValueError, match="non-negative"):
+        _count_m_nc(group, -1)
 
 
 def test_nc_m0_and_structure(a2):
@@ -169,25 +227,25 @@ def test_nc_m0_and_structure(a2):
     assert len(tuples) == 5
     assert (group.identity, group.coxeter) in tuples
     assert (group.coxeter, group.identity) in tuples
-    for t in group.reflections:
-        assert (t, mat_mul(t, group.coxeter)) in tuples
+    masks = _masks_by_matrix(group)
+    for r in range(len(a2.positive_roots)):
+        t = group.matrix(1 << r)
+        assert (1 << r, masks[mat_mul(t, group.matrix(group.coxeter))]) in tuples
 
 
 def test_reflection_factorizations(a2, a3):
     g2 = generate_weyl(a2)
     assert len(reflection_factorizations(g2, g2.coxeter)) == 3
-    t = g2.reflections[0]
-    assert reflection_factorizations(g2, t) == [(0,)]
+    assert reflection_factorizations(g2, 1 << 0) == [(0,)]
     g3 = generate_weyl(a3)
     assert len(reflection_factorizations(g3, g3.coxeter)) == 16
-    assert len(reflection_factorizations(g3, g3.coxeter, first_only=True)) == 1
 
 
 def test_factorizations_need_below_coxeter(a3):
     group = generate_weyl(a3)
-    outside = set(cayley_abs_lengths(group)) - set(group.elements)
+    outside = set(cayley_abs_lengths(group)) - set(_masks_by_matrix(group))
     assert len(outside) == 24 - 14
-    for w in outside:
+    for w in set(range(1 << len(a3.positive_roots))) - set(group.elements):
         assert not group.below_coxeter(w)
         with pytest.raises(ValueError):
             reflection_factorizations(group, w)
@@ -282,8 +340,9 @@ def test_phi_examples_a2(a2):
     group = generate_weyl(a2)
     s1, s2, p1 = simple(a2, 1), simple(a2, 2), proj(a2, 1)
     c, e = group.coxeter, group.identity
-    t11 = reflection_matrix(a2, 2)
-    s1_refl = reflection_matrix(a2, 0)
+    t11, s1_refl = 1 << 2, 1 << 0
+    assert group.matrix(t11) == reflection_matrix(a2, 2)
+    assert group.matrix(s1_refl) == reflection_matrix(a2, 0)
     assert phi(group, (c, e)) == collection([shift(s1, 1), shift(s2, 1)])
     assert phi(group, (t11, s1_refl)) == collection([shift(p1, 1), s1])
     assert phi_inverse(group, collection([s1, s2]), 1) == (e, c)
@@ -301,13 +360,19 @@ def test_phi_validates_input(a2):
 
 def test_phi_rejects_parts_off_the_interval(a2):
     # c has order 3 in A2, so (c^-1, c^-1) multiplies to c, but c^-1 is not
-    # below c: its lengths add to 4, not 2.
+    # below c: its lengths add to 4, not 2.  c^-1 = s2 s1 has no mask, so
+    # only the words of a record can name it.
     group = generate_weyl(a2)
-    c_inv = mat_mul(group.coxeter, group.coxeter)
-    assert mat_mul(c_inv, c_inv) == group.coxeter
-    assert not group.below_coxeter(c_inv)
+    c = group.matrix(group.coxeter)
+    c_inv = mat_mul(c, c)
+    assert mat_mul(c_inv, c_inv) == c
+    assert c_inv not in _masks_by_matrix(group)
     with pytest.raises(ValueError, match="not T-reduced"):
-        phi(group, (c_inv, c_inv))
+        nc_from_words(group, [[1, 0], [1, 0]])
+    # {alpha_1, alpha_2} lacks alpha_1 + alpha_2, so it is no wide mask.
+    assert not group.below_coxeter(0b011)
+    with pytest.raises(ValueError, match="not T-reduced"):
+        phi(group, (0b011, 0))
 
 
 @pytest.mark.parametrize("family,rank,ms", [
@@ -337,8 +402,7 @@ def test_phi_word_independent(a3):
     group = generate_weyl(a3)
     for parts in enumerate_m_nc(group, 1)[:20]:
         results = set()
-        all_words = [list(_words(group._perp, group._wide_mask(u)))
-                     for u in parts]
+        all_words = [list(_words(group._perp, u)) for u in parts]
         for combo in itertools.product(*all_words):
             chunks = [tuple(DObj(a3, r, 0) for r in word) for word in combo]
             full = tuple(x for chunk in chunks for x in chunk)
@@ -362,7 +426,7 @@ def test_simples_count_matches_length(a3):
             length = group.abs_length(u)
             if length == 0:
                 continue
-            word = reflection_factorizations(group, u, first_only=True)[0]
+            word = reflection_factorizations(group, u)[0]
             chunk = tuple(DObj(a3, r, 0) for r in word)
             simples = simples_of_wide(wide_subcategory(chunk))
             assert len(simples) == length
@@ -383,41 +447,42 @@ def test_wide_masks_match_oracle(family, rank, every_numbering):
     for q in quivers:
         rs = build_root_system(q)
         group = generate_weyl(rs)
-        masks = {u: group._wide_mask(u) for u in group.elements}
-        assert masks[group.identity] == 0
-        inverses = {group.identity: group.identity}
-        for u, mask in masks.items():
+        masks = _masks_by_matrix(group)
+        assert masks[mat_identity(rs.n)] == group.identity == 0
+        inverses = {group.identity: mat_identity(rs.n)}
+        for u in group.elements:
             if u == group.identity:
                 continue
-            word = reflection_factorizations(group, u, first_only=True)[0]
+            word = reflection_factorizations(group, u)[0]
             chunk = tuple(DObj(rs, r, 0) for r in word)
-            assert sequence_reflection_product(chunk) == u
-            assert len(word) == abs_length(rs, u)
+            assert sequence_reflection_product(chunk) == group.matrix(u)
+            assert len(word) == abs_length(rs, group.matrix(u))
             inverses[u] = sequence_reflection_product(chunk[::-1])
             wide = wide_subcategory(chunk)
-            assert mask == sum(1 << x.root for x in wide), (q, u)
+            assert u == sum(1 << x.root for x in wide), (q, u)
             simples = simples_of_wide(wide, expected_rank=len(word))
-            assert _simple_roots(group, mask) == sorted(x.root for x in simples)
+            assert _simple_roots(group, u) == sorted(x.root for x in simples)
         # u <= v <= c puts u^-1 v in [1, c] too, so off it u is not below v.
         for u, v in itertools.product(group.elements, repeat=2):
             lu, lv = group.abs_length(u), group.abs_length(v)
             below = False
             if lu <= lv:
-                cofactor = mat_mul(inverses[u], v)
-                below = (group.below_coxeter(cofactor)
-                         and lu + group.abs_length(cofactor) == lv)
-            assert (not masks[u] & ~masks[v]) == below, (q, u, v)
+                cofactor = mat_mul(inverses[u], group.matrix(v))
+                below = (cofactor in masks
+                         and lu + group.abs_length(masks[cofactor]) == lv)
+            assert (not u & ~v) == below, (q, u, v)
 
 
 def test_nc_json_round_trip(a3):
     group = generate_weyl(a3)
     for parts in enumerate_m_nc(group, 2)[:10]:
         data = nc_to_dict(group, parts, with_matrices=True)
-        assert nc_from_dict(group, data) == parts
-        assert data["matrices"] == [[list(row) for row in u] for u in parts]
+        assert nc_from_words(group, nc_words(a3, data)) == parts
+        assert data["matrices"] == [[list(row) for row in group.matrix(u)]
+                                    for u in parts]
 
 
 def test_weyl_only_family_full_stack(b2):
     group = generate_weyl(b2)
     assert len(enumerate_m_nc(group, 1)) == fuss_catalan(b2, 1) == 6
-    assert abs_length(b2, group.coxeter) == 2
+    assert abs_length(b2, group.matrix(group.coxeter)) == 2
