@@ -11,8 +11,7 @@ from .roots import (
 from .derived import (
     DObj, WindowSpec, class_of, ext_dim, f_power, f_translate,
     f_translate_inv, hom_dim, inj, is_injective, is_projective, nu, nu_inv,
-    obj, object_of_class, proj, shift, simple, tau, tau_inv, translate,
-    window_objects,
+    obj, object_of_class, proj, shift, simple, tau, tau_inv, window_objects,
 )
 from .sequences import (
     ExcSeq, MutationError, MutationSign, enumerate_complete_sequences,

@@ -11,7 +11,8 @@ Which Ext^i between two stalks is nonzero is decided here, by nonzero_exts;
 the silting, mutation, Weyl and torsion layers all ask it.  The two
 compatibility rules live here too, in RULES: the Ext indices a silting
 object and a Hom<=0-configuration forbid between distinct summands.
-forbidden_ext asks one of them about one ordered pair.
+forbidden_ext asks one of them about one ordered pair.  Window membership
+is decided here as well, once, by _window_masks: one root mask per degree.
 """
 from __future__ import annotations
 
@@ -112,21 +113,17 @@ def shift(x: DObj, k: int = 1) -> DObj:
 
 
 def tau(x: DObj) -> DObj:
-    rs = x.rs
-    _require_categorical(rs)
-    if rs.is_projective_root(x.root):
-        vertex = rs._proj_vertex[x.root]
-        return DObj(rs, rs.root_of(rs.inj_dims[vertex]), x.degree - 1)
-    return DObj(rs, rs._tau_image[x.root], x.degree)
+    """tau = F^{-1}[-2], read off rs.f_inv_table."""
+    _require_categorical(x.rs)
+    root, move = x.rs.f_inv_table[x.root]
+    return DObj(x.rs, root, x.degree + move - 2)
 
 
 def tau_inv(x: DObj) -> DObj:
-    rs = x.rs
-    _require_categorical(rs)
-    if rs.is_injective_root(x.root):
-        vertex = rs._inj_vertex[x.root]
-        return DObj(rs, rs.root_of(rs.proj_dims[vertex]), x.degree + 1)
-    return DObj(rs, rs._tau_inv_image[x.root], x.degree)
+    """tau^{-1} = F[2], read off rs.f_table."""
+    _require_categorical(x.rs)
+    root, move = x.rs.f_table[x.root]
+    return DObj(x.rs, root, x.degree + move + 2)
 
 
 def nu(x: DObj) -> DObj:
@@ -139,11 +136,15 @@ def nu_inv(x: DObj) -> DObj:
 
 def f_translate(x: DObj) -> DObj:
     """The autoequivalence used by periodic configurations: tau^{-1} then [-2]."""
-    return shift(tau_inv(x), -2)
+    _require_categorical(x.rs)
+    root, move = x.rs.f_table[x.root]
+    return DObj(x.rs, root, x.degree + move)
 
 
 def f_translate_inv(x: DObj) -> DObj:
-    return shift(tau(x), 2)
+    _require_categorical(x.rs)
+    root, move = x.rs.f_inv_table[x.root]
+    return DObj(x.rs, root, x.degree + move)
 
 
 def f_power(x: DObj, k: int) -> DObj:
@@ -151,26 +152,6 @@ def f_power(x: DObj, k: int) -> DObj:
     for _ in range(abs(k)):
         x = step(x)
     return x
-
-
-_TRANSLATIONS = {
-    "tau": tau,
-    "tau-inv": tau_inv,
-    "nu": nu,
-    "nu-inv": nu_inv,
-    "F": f_translate,
-    "F-inv": f_translate_inv,
-}
-
-
-def translate(x: DObj, op: str, k: int = 1) -> DObj:
-    """Name-dispatched translation; op is one of shift/tau/tau-inv/nu/nu-inv/F/F-inv."""
-    if op == "shift":
-        return shift(x, k)
-    try:
-        return _TRANSLATIONS[op](x)
-    except KeyError:
-        raise ValueError(f"unknown translation {op!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -281,41 +262,33 @@ class WindowSpec:
             raise ValueError("window lo must not exceed hi")
 
     def contains(self, x: DObj) -> bool:
-        if self.lo <= x.degree <= self.hi:
-            if self.minus_projectives and x.degree == self.lo and is_projective(x):
-                return False
-            return True
-        return self.plus_injectives and x.degree == self.lo - 1 and is_injective(x)
+        rows = _window_masks(x.rs, self)
+        k = x.degree - rows[0][0]
+        return 0 <= k < len(rows) and bool(rows[k][1] >> x.root & 1)
 
     def to_dict(self) -> dict:
         return {"lo": self.lo, "hi": self.hi,
                 "plus_injectives": self.plus_injectives,
                 "minus_projectives": self.minus_projectives}
 
-    @staticmethod
-    def from_dict(data: dict) -> "WindowSpec":
-        """Read to_dict's form: lo and hi JSON integers, the flags, which
-        default to false, JSON booleans."""
-        try:
-            bounds = data["lo"], data["hi"]
-            flags = (data.get("plus_injectives", False),
-                     data.get("minus_projectives", False))
-            if not (all(type(b) is int for b in bounds)      # no bool or float
-                    and all(type(f) is bool for f in flags)):
-                raise TypeError
-        except (KeyError, TypeError, AttributeError):
-            raise ValueError(f"window record {data!r} is not of the form "
-                             '{"lo": a, "hi": b, ...}') from None
-        return WindowSpec(*bounds, *flags)
+
+def _window_masks(rs: RootSystemData, w: WindowSpec) -> list[tuple[int, int]]:
+    """Per degree of the window, lowest first, the mask of the roots whose
+    stalk in that degree the window contains: every root in lo..hi, less
+    the projectives at lo under minus_projectives, and the injectives at
+    lo - 1 under plus_injectives.  The one decision of window membership."""
+    full = (1 << len(rs.positive_roots)) - 1
+    rows = [(d, full) for d in range(w.lo, w.hi + 1)]
+    if w.minus_projectives:
+        rows[0] = (w.lo, full & ~sum(1 << r for r in rs._proj_vertex))
+    if w.plus_injectives:
+        rows.insert(0, (w.lo - 1, sum(1 << r for r in rs._inj_vertex)))
+    return rows
 
 
 def window_objects(rs: RootSystemData, w: WindowSpec) -> list[DObj]:
     """All indecomposables inside the window, in (degree, root) order."""
     _require_categorical(rs)
-    out = []
-    for degree in range(w.lo - 1, w.hi + 1):
-        for root in range(len(rs.positive_roots)):
-            x = DObj(rs, root, degree)
-            if w.contains(x):
-                out.append(x)
-    return out
+    roots = range(len(rs.positive_roots))
+    return [DObj(rs, root, degree) for degree, mask in _window_masks(rs, w)
+            for root in roots if mask >> root & 1]

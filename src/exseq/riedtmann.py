@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .derived import (
-    DObj, WindowSpec, _require_categorical, forbidden_ext, is_projective,
-    window_objects,
+    DObj, WindowSpec, _require_categorical, _window_masks, forbidden_ext,
+    is_projective, window_objects,
 )
-from .roots import RootSystemData
 from .sequences import ExcSeq, MutationError, MutationSign, mutate
 from .silting import DCollection, collection, is_hom_leq0_config, is_m_config
 
@@ -76,18 +75,6 @@ def make_periodic(seeds: DCollection) -> PeriodicConfig:
                 if (b.root, b.degree) in orbit:
                     raise ValueError(f"seeds {a!r} and {b!r} lie in one F-orbit")
     return PeriodicConfig(seeds)
-
-
-def _window_masks(rs: RootSystemData, w: WindowSpec) -> list[tuple[int, int]]:
-    """Per degree of the window, lowest first, the mask of the roots whose
-    stalk in that degree the window contains (as WindowSpec.contains)."""
-    full = (1 << len(rs.positive_roots)) - 1
-    rows = [(d, full) for d in range(w.lo, w.hi + 1)]
-    if w.minus_projectives:
-        rows[0] = (w.lo, full & ~sum(1 << rs.root_index[d] for d in rs.proj_dims))
-    if w.plus_injectives:
-        rows.insert(0, (w.lo - 1, sum(1 << rs.root_index[d] for d in rs.inj_dims)))
-    return rows
 
 
 def is_combinatorial_configuration(p: PeriodicConfig, probe_window: WindowSpec) -> bool:
@@ -196,15 +183,19 @@ def check_negative_mutation_invariance(seq: ExcSeq, i: int, w: WindowSpec) -> bo
     return torsion_window(collection(seq), w) == torsion_window(collection(mutated), w)
 
 
-def ext_projectives(a_window: frozenset[DObj], w: WindowSpec, margin: int = 2
-                    ) -> frozenset[DObj]:
-    """The Ext-projectives of a window torsion class, restricted to the
-    window interior (margin degrees trimmed from each side) so boundary
-    truncation cannot create spurious members."""
-    if w.lo + margin > w.hi - margin:
-        raise ValueError(f"window {w} is too small for a margin of {margin}")
+# The degrees trimmed from each side of the window by ext_projectives.
+_MARGIN = 2
 
-    interior = [x for x in a_window if w.lo + margin <= x.degree <= w.hi - margin]
+
+def ext_projectives(a_window: frozenset[DObj], w: WindowSpec) -> frozenset[DObj]:
+    """The Ext-projectives of a window torsion class, restricted to the
+    window interior (_MARGIN degrees trimmed from each side) so boundary
+    truncation cannot create spurious members."""
+    lo, hi = w.lo + _MARGIN, w.hi - _MARGIN
+    if lo > hi:
+        raise ValueError(f"window {w} is too small for a margin of {_MARGIN}")
+
+    interior = [x for x in a_window if lo <= x.degree <= hi]
     return frozenset(x for x in interior
                      if all(forbidden_ext(x, z, "silting") is None
                             for z in a_window))

@@ -12,7 +12,6 @@ layer alone.
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,20 +119,6 @@ class QuiverDescriptor:
         else:
             raise QuiverError(f"unknown family {family!r}")
         return QuiverDescriptor(family, rank, tuple(arrows))
-
-    @staticmethod
-    def from_json(text: str) -> "QuiverDescriptor":
-        data = json.loads(text)
-        return QuiverDescriptor(
-            data["family"], int(data["rank"]),
-            tuple((int(a), int(b)) for a, b in data.get("arrows", ())),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"family": self.family, "rank": self.rank,
-             "arrows": [list(a) for a in self.arrows]}
-        )
 
 
 def _tree_shape(n: int, edges: list[tuple[int, int]]) -> tuple[str, int] | None:
@@ -262,7 +247,8 @@ class RootSystemData:
     the only degree gaps at which two stalk complexes can interact.  Beside
     it sit `hom_masks`, the nonzero patterns of its rows and columns as
     bitmasks over the roots, and `f_table`/`f_inv_table`, the
-    autoequivalence F = [-2]tau^{-1} and its inverse on (root, degree).
+    autoequivalence F = [-2]tau^{-1} and its inverse on (root, degree),
+    the one table of tau as well (tau = F^{-1}[-2]).
 
     Positive roots are ordered with the simple roots first (in vertex order)
     and the rest by (height, coordinates); this order is the deterministic
@@ -315,8 +301,6 @@ class RootSystemData:
         self.inj_dims: tuple[DimVector, ...] | None = None
         self._proj_vertex: dict[int, int] = {}
         self._inj_vertex: dict[int, int] = {}
-        self._tau_image: tuple[int | None, ...] | None = None
-        self._tau_inv_image: tuple[int | None, ...] | None = None
         self.hom_table: tuple[IntMatrix, IntMatrix] | None = None
         self.hom_masks: tuple[tuple[int, ...], ...] | None = None
         self.f_table: tuple[tuple[int, int], ...] | None = None
@@ -395,22 +379,10 @@ class RootSystemData:
         if mat_mul(phi, phi_inv) != mat_identity(n):
             raise QuiverError("Coxeter matrix inversion failed")
 
-        paths: dict[tuple[int, int], int] = {}
-
-        def count_paths(i: int, j: int) -> int:
-            key = (i, j)
-            if key not in paths:
-                paths[key] = (i == j) + sum(
-                    count_paths(b - 1, j) for a, b in self.quiver.arrows if a - 1 == i
-                )
-            return paths[key]
-
-        proj = tuple(
-            tuple(count_paths(i, j) for j in range(n)) for i in range(n)
-        )
-        inj = tuple(
-            tuple(count_paths(j, i) for j in range(n)) for i in range(n)
-        )
+        # E^-1[i][j] counts the paths i -> j: the rows of E^-1 are the dim P_i,
+        # its columns the dim I_i.
+        proj = einv
+        inj = mat_transpose(einv)
         for i in range(n):
             if proj[i] not in self.root_index or inj[i] not in self.root_index:
                 raise QuiverError("projective dimension vector is not a root")
@@ -442,9 +414,7 @@ class RootSystemData:
                 if image not in self.root_index:
                     raise QuiverError("inverse Coxeter transform left the roots")
                 tau_inv_img.append(self.root_index[image])
-        self._tau_image = tuple(tau_img)
-        self._tau_inv_image = tuple(tau_inv_img)
-        self.hom_table = h0, h1 = self._hom_table()
+        self.hom_table = h0, h1 = self._hom_table(tau_img, tau_inv_img)
         self.hom_masks = tuple(map(_row_masks, (h0, h1, zip(*h0), zip(*h1))))
         # F(M_r[d]) is M_{tau^-1 r}[d - 2], or P_v[d - 1] for r = I_v;
         # F^-1(M_r[d]) is M_{tau r}[d + 2], or I_v[d + 1] for r = P_v.
@@ -452,12 +422,13 @@ class RootSystemData:
         inj_roots = [self.root_index[d] for d in inj]
         self.f_table = tuple(
             (t, -2) if t is not None else (proj_roots[self._inj_vertex[k]], -1)
-            for k, t in enumerate(self._tau_inv_image))
+            for k, t in enumerate(tau_inv_img))
         self.f_inv_table = tuple(
             (t, 2) if t is not None else (inj_roots[self._proj_vertex[k]], 1)
-            for k, t in enumerate(self._tau_image))
+            for k, t in enumerate(tau_img))
 
-    def _hom_table(self) -> tuple[IntMatrix, IntMatrix]:
+    def _hom_table(self, tau: list[int | None], tau_inv: list[int | None]
+                   ) -> tuple[IntMatrix, IntMatrix]:
         """Both Hom arrays, by a recurrence along the tau-orbits.  Four facts
         about a hereditary algebra of Dynkin type give every entry:
 
@@ -478,14 +449,13 @@ class RootSystemData:
         tau^{-1}-layer in turn, each read off the row of its tau-image; the
         Ext^1 rows are columns of the Hom array."""
         count = len(self.positive_roots)
-        tau = self._tau_image
         hom: list[tuple[int, ...] | None] = [None] * count
         layer = list(self._proj_vertex)
         for x in layer:
             i = self._proj_vertex[x]
             hom[x] = tuple(r[i] for r in self.positive_roots)
         while layer:
-            layer = [y for y in map(self._tau_inv_image.__getitem__, layer)
+            layer = [y for y in map(tau_inv.__getitem__, layer)
                      if y is not None]
             for x in layer:
                 below = hom[tau[x]]
@@ -502,9 +472,6 @@ class RootSystemData:
     def is_categorical(self) -> bool:
         return self.family in CATEGORICAL_FAMILIES
 
-    def dim(self, root: int) -> DimVector:
-        return self.positive_roots[root]
-
     def root_of(self, dim: DimVector) -> int:
         try:
             return self.root_index[tuple(dim)]
@@ -519,25 +486,6 @@ class RootSystemData:
 
     def weyl_order(self) -> int:
         return prod(e + 1 for e in self.exponents)
-
-    def to_dict(self) -> dict:
-        """Debug export of the full root data."""
-        return {
-            "quiver": json.loads(self.quiver.to_json()),
-            "positive_roots": [list(r) for r in self.positive_roots],
-            "coxeter_number": self.coxeter_number,
-            "exponents": list(self.exponents),
-            "symmetrizers": list(self.symmetrizers),
-            "sym_matrix": [list(r) for r in self.sym_matrix],
-            "euler_matrix": None if self.euler_matrix is None
-            else [list(r) for r in self.euler_matrix],
-            "coxeter_matrix": None if self.coxeter_matrix is None
-            else [list(r) for r in self.coxeter_matrix],
-            "proj_dims": None if self.proj_dims is None
-            else [list(r) for r in self.proj_dims],
-            "inj_dims": None if self.inj_dims is None
-            else [list(r) for r in self.inj_dims],
-        }
 
     def __repr__(self):
         return f"RootSystemData({self.family}{self.n}, {len(self.positive_roots)} positive roots)"

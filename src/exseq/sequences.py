@@ -113,12 +113,6 @@ def mu_rev_order(n: int) -> list[int]:
     return [i for k in range(1, n) for i in range(n - 1, k - 1, -1)]
 
 
-def mu_rev_order_alt(n: int) -> list[int]:
-    """Application order of the braid-equivalent presentation
-    mu_1 (mu_2 mu_1) ... (mu_{n-1} ... mu_1)."""
-    return [i for k in range(n - 1, 0, -1) for i in range(1, k + 1)]
-
-
 def _check_complete(seq: ExcSeq) -> RootSystemData:
     if not seq:
         raise ValueError("empty sequence")
@@ -149,12 +143,11 @@ def _run(seq: ExcSeq, steps) -> tuple[ExcSeq, tuple[MutationSign, ...]]:
     return current, tuple(signs)
 
 
-def mu_rev_steps(seq: ExcSeq, order: list[int] | None = None
-                 ) -> Iterator[tuple[int, MutationSign, ExcSeq]]:
+def mu_rev_steps(seq: ExcSeq) -> Iterator[tuple[int, MutationSign, ExcSeq]]:
     """Drive mu_rev one right mutation at a time, yielding
-    (position, sign, sequence after the step).  The order defaults to the
-    standard presentation mu_rev_order(n)."""
-    return _steps(seq, mu_rev_order(len(seq)) if order is None else order, "right")
+    (position, sign, sequence after the step), in the standard presentation
+    mu_rev_order(n)."""
+    return _steps(seq, mu_rev_order(len(seq)), "right")
 
 
 def mu_rev(seq: ExcSeq) -> tuple[ExcSeq, tuple[MutationSign, ...]]:

@@ -26,7 +26,7 @@ PUBLIC_NAMES = [
     'reflection_of_object', 'riedtmann', 'riedtmann_to_config', 'roots',
     'rotate', 'sequence_reflection_product', 'sequences', 'shift', 'silting',
     'silting_to_config', 'simple', 'sym_form', 'tau', 'tau_inv',
-    'torsion_window', 'translate', 'weyl', 'window_objects',
+    'torsion_window', 'weyl', 'window_objects',
 ]
 
 SIGNATURES = {
@@ -64,8 +64,7 @@ SIGNATURES = {
         "(rs: 'RootSystemData', d: 'DimVector', e: 'DimVector') -> 'int'",
     'ext_dim': "(x: 'DObj', y: 'DObj', i: 'int') -> 'int'",
     'ext_projectives':
-        "(a_window: 'frozenset[DObj]', w: 'WindowSpec', "
-        "margin: 'int' = 2) -> 'frozenset[DObj]'",
+        "(a_window: 'frozenset[DObj]', w: 'WindowSpec') -> 'frozenset[DObj]'",
     'f_power': "(x: 'DObj', k: 'int') -> 'DObj'",
     'f_translate': "(x: 'DObj') -> 'DObj'",
     'f_translate_inv': "(x: 'DObj') -> 'DObj'",
@@ -126,7 +125,6 @@ SIGNATURES = {
     'tau_inv': "(x: 'DObj') -> 'DObj'",
     'torsion_window':
         "(col: 'DCollection', w: 'WindowSpec') -> 'frozenset[DObj]'",
-    'translate': "(x: 'DObj', op: 'str', k: 'int' = 1) -> 'DObj'",
     'window_objects':
         "(rs: 'RootSystemData', w: 'WindowSpec') -> 'list[DObj]'",
 }

@@ -24,6 +24,8 @@ from exseq.sequences import _sample_complete_sequences, _sequence_counts
 from exseq.silting import collection_to_list
 from exseq.weyl import nc_to_dict
 
+from oracle import admissible_quivers
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -477,6 +479,19 @@ def test_custom_orientation(capsys):
                         "--orientation", "[[1,3],[2,3]]")
     assert code == 0
     assert payload["counts"]["m-config"] == 14
+
+
+@pytest.mark.parametrize("qtype", ["A2", "A3", "A4", "D4"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_verify_every_orientation(capsys, qtype, m):
+    """verify passes on every admissible numbering of the diagram."""
+    quivers = list(admissible_quivers(qtype[0], int(qtype[1:])))
+    assert quivers
+    for q in quivers:
+        code = main(["verify", "--type", qtype, "--m", str(m),
+                     "--orientation", json.dumps(q.arrows)])
+        out = capsys.readouterr().out
+        assert code == 0, (q.arrows, out)
 
 
 GOLDEN_OUTPUTS = [

@@ -7,8 +7,7 @@ from exseq import (
     DObj, QuiverDescriptor, QuiverError, WindowSpec, build_root_system,
     class_of, ext_dim,
     f_translate, f_translate_inv, hom_dim, inj, nu, nu_inv, obj,
-    object_of_class, proj, shift, simple, tau, tau_inv, translate,
-    window_objects,
+    object_of_class, proj, shift, simple, tau, tau_inv, window_objects,
 )
 from exseq.derived import obj_from_dict, obj_to_dict
 
@@ -31,16 +30,6 @@ def test_translations_a2(a2):
     assert nu_inv(nu(shift(s2, 3))) == shift(s2, 3)
     assert f_translate(shift(p1, 1)) == simple(a2, 2)  # P_1 = I_2 here
     assert f_translate_inv(f_translate(s1)) == s1
-
-
-def test_translate_dispatcher(a2):
-    x = simple(a2, 1, 2)
-    assert translate(x, "shift", -2) == simple(a2, 1)
-    assert translate(x, "tau") == tau(x)
-    assert translate(x, "nu-inv") == nu_inv(x)
-    assert translate(x, "F") == f_translate(x)
-    with pytest.raises(ValueError):
-        translate(x, "sigma")
 
 
 def test_translations_are_bijections(a3):
@@ -177,36 +166,8 @@ def test_window_membership(a2):
     assert not minus.contains(s2)
     assert not minus.contains(p1)
     assert minus.contains(shift(p1, 1))
-    assert WindowSpec.from_dict(minus.to_dict()) == minus
     with pytest.raises(ValueError):
         WindowSpec(2, 1)
-
-
-def test_window_from_dict_defaults_flags():
-    assert WindowSpec.from_dict({"lo": -1, "hi": 2}) == WindowSpec(-1, 2)
-
-
-@pytest.mark.parametrize("data", [
-    {"lo": 0.5, "hi": True},
-    {"lo": 0, "hi": 1.0},
-    {"lo": True, "hi": 1},
-    {"lo": "0", "hi": 1},
-    {"lo": 0, "hi": 1, "plus_injectives": 1},
-    {"lo": 0, "hi": 1, "minus_projectives": "false"},
-    {"lo": 0, "hi": 1, "plus_injectives": None},
-    {"hi": 1},
-    [0, 1],
-    None,
-])
-def test_window_from_dict_rejects_non_json_types(data):
-    with pytest.raises(ValueError, match="window record"):
-        WindowSpec.from_dict(data)
-
-
-def test_window_objects_count(a2):
-    assert len(window_objects(a2, WindowSpec(0, 1))) == 6
-    assert len(window_objects(a2, WindowSpec(1, 1, plus_injectives=True))) == 5
-    assert len(window_objects(a2, WindowSpec(0, 1, minus_projectives=True))) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +182,87 @@ TABLE_QUIVERS = (
 )
 
 
+def path_counts(q):
+    """paths[i][j], the number of paths from vertex i + 1 to vertex j + 1:
+    one for i = j, and over each arrow (i + 1, b), the paths out of b."""
+    n = q.rank
+    paths = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in reversed(range(n)):        # arrows point up, so b - 1 > i is done
+        for a, b in q.arrows:
+            if a == i + 1:
+                paths[i] = [p + t for p, t in zip(paths[i], paths[b - 1])]
+    return paths
+
+
+def coxeter(q, dim, inverse=False):
+    """Phi = s_1 s_2 ... s_n on a dimension vector (s_n applied first), or
+    Phi^-1 = s_n ... s_1, with s_i(v) = v - (v, e_i) e_i for the symmetric
+    form of the underlying graph."""
+    v = list(dim)
+    for i in (range(q.rank) if inverse else reversed(range(q.rank))):
+        pairing = 2 * v[i] - sum(v[b - 1] if a == i + 1 else v[a - 1]
+                                 for a, b in q.arrows if i + 1 in (a, b))
+        v[i] -= pairing
+    return tuple(v)
+
+
 @pytest.mark.parametrize("q", TABLE_QUIVERS,
                          ids=[f"{q.family}{q.rank}-{i}" for i, q in enumerate(TABLE_QUIVERS)])
 def test_index_tables_match_their_definitions(q):
     rs = build_root_system(q)
+    paths = path_counts(q)
+    projs = [tuple(row) for row in paths]
+    injs = [tuple(row[v] for row in paths) for v in range(q.rank)]
+    assert rs.proj_dims == tuple(projs)
+    assert rs.inj_dims == tuple(injs)
+    # F(M_r[d]) = M_{Phi^-1 r}[d - 2] for r not injective, F(I_v[d]) = P_v[d - 1];
+    # F^-1(M_r[d]) = M_{Phi r}[d + 2] for r not projective, F^-1(P_v[d]) = I_v[d + 1].
     for x in _all_objects(rs, range(-3, 4)):
-        for table, translation in ((rs.f_table, f_translate),
-                                   (rs.f_inv_table, f_translate_inv)):
+        r, d = x.dim(), x.degree
+        if r in injs:
+            image = DObj(rs, rs.root_of(projs[injs.index(r)]), d - 1)
+        else:
+            image = DObj(rs, rs.root_of(coxeter(q, r, inverse=True)), d - 2)
+        if r in projs:
+            preimage = DObj(rs, rs.root_of(injs[projs.index(r)]), d + 1)
+        else:
+            preimage = DObj(rs, rs.root_of(coxeter(q, r)), d + 2)
+        for table, expected in ((rs.f_table, image), (rs.f_inv_table, preimage)):
             root, move = table[x.root]
-            assert DObj(rs, root, x.degree + move) == translation(x), x
+            assert DObj(rs, root, d + move) == expected, x
+        assert (f_translate(x), tau_inv(x)) == (image, shift(image, 2)), x
+        assert (f_translate_inv(x), tau(x)) == (preimage, shift(preimage, -2)), x
     h0, h1 = rs.hom_table
     count = len(rs.positive_roots)
     for masks, array in zip(rs.hom_masks, (h0, h1, list(zip(*h0)), list(zip(*h1)))):
         assert masks == tuple(sum(1 << s for s in range(count) if row[s])
                               for row in array)
+
+
+WINDOWS = (WindowSpec(-1, 3), WindowSpec(0, 2, minus_projectives=True),
+           WindowSpec(1, 2, plus_injectives=True), WindowSpec(0, 0, True, True))
+
+
+def test_window_objects_count(a2):
+    assert len(window_objects(a2, WindowSpec(0, 1))) == 6
+    assert len(window_objects(a2, WindowSpec(1, 1, plus_injectives=True))) == 5
+    assert len(window_objects(a2, WindowSpec(0, 1, minus_projectives=True))) == 4
+    # Against the per-object rule over the grid of degrees lo - 1 .. hi:
+    # inside [lo, hi] and not a projective at lo under minus_projectives, or
+    # an injective at lo - 1 under plus_injectives.
+    for q in [a2.quiver, *TABLE_QUIVERS]:
+        rs = build_root_system(q)
+        paths = path_counts(q)
+        projs = {tuple(row) for row in paths}
+        injs = {tuple(row[v] for row in paths) for v in range(q.rank)}
+        for w in WINDOWS:
+            grid = [DObj(rs, r, d) for d in range(w.lo - 1, w.hi + 1)
+                    for r in range(len(rs.positive_roots))]
+            rule = [x for x in grid
+                    if w.lo <= x.degree <= w.hi and not (
+                        w.minus_projectives and x.degree == w.lo
+                        and x.dim() in projs)
+                    or w.plus_injectives and x.degree == w.lo - 1
+                    and x.dim() in injs]
+            assert window_objects(rs, w) == rule, (q, w)
+            assert [x for x in grid if w.contains(x)] == rule, (q, w)

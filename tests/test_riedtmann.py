@@ -173,7 +173,7 @@ def test_ext_projectives_recover_silting(a2, a3):
 
 def test_ext_projectives_margin_guard(a2):
     with pytest.raises(ValueError):
-        ext_projectives(frozenset(), WindowSpec(0, 1), margin=2)
+        ext_projectives(frozenset(), WindowSpec(0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -87,12 +87,6 @@ def test_malformed_quivers_rejected(bad):
         QuiverDescriptor(bad["family"], bad["rank"], bad["arrows"])
 
 
-def test_quiver_json_round_trip():
-    q = QuiverDescriptor.from_json('{"family":"A","rank":3,"arrows":[[1,2],[2,3]]}')
-    assert q == QuiverDescriptor.standard("A", 3)
-    assert QuiverDescriptor.from_json(q.to_json()) == q
-
-
 def test_euler_form_values(a2):
     assert euler_form(a2, (1, 0), (0, 1)) == -1
     assert euler_form(a2, (3, 5), (0, 0)) == 0
@@ -182,12 +176,6 @@ def test_exponent_symmetry(d4, b2):
         h = rs.coxeter_number
         exps = rs.exponents
         assert all(exps[i] + exps[rs.n - 1 - i] == h for i in range(rs.n))
-
-
-def test_root_system_debug_export(a2):
-    data = a2.to_dict()
-    assert data["coxeter_number"] == 3
-    assert data["positive_roots"] == [[1, 0], [0, 1], [1, 1]]
 
 
 @pytest.mark.parametrize("family,ranks", [
