@@ -20,7 +20,7 @@ from math import factorial
 from typing import Iterable, Iterator
 
 from .derived import DObj, WindowSpec, _require_categorical, nu_inv, obj_to_dict
-from .riedtmann import config_to_riedtmann, riedtmann_to_config, torsion_window
+from .riedtmann import _riedtmann_to_config, config_to_riedtmann, torsion_window
 from .roots import QuiverDescriptor, QuiverError, build_root_system, fuss_catalan
 from .sequences import (
     MutationError, MutationSign, _all_roots, _complete_sequences,
@@ -28,13 +28,13 @@ from .sequences import (
     mu_rev_steps, mutate,
 )
 from .silting import (
-    M_WINDOW_KINDS, collection_from_list, collection_to_list, config_to_silting,
-    enumerate_kind, enumerate_kind_indexed, explain_not_config,
+    M_WINDOW_KINDS, _config_to_silting, collection_from_list, collection_to_list,
+    config_to_silting, enumerate_kind, enumerate_kind_indexed, explain_not_config,
     explain_not_silting, order_config, order_silting, silting_to_config,
 )
 from .weyl import (
-    _count_m_nc, enumerate_m_nc, generate_weyl, nc_from_words, nc_to_dict, nc_words, phi,
-    phi_inverse,
+    _count_m_nc, _phi_inverse, enumerate_m_nc, generate_weyl, nc_from_words, nc_to_dict,
+    nc_words, phi, phi_inverse,
 )
 
 _TYPE_RE = re.compile(r"^([A-G])(\d+)$")
@@ -347,7 +347,12 @@ def _holds(law, *args) -> bool:
 def _round_trip(inputs, forward, back) -> tuple[set, object]:
     """Apply forward once to each input.  Returns the set of images and the
     first input, in order, that back does not recover, or None.  An input
-    on which forward raises is a failure and has no image."""
+    on which forward raises is a failure and has no image.
+
+    back is the unchecked private core of the inverse bijection: each
+    collection is checked once.  forward checks its input and its image,
+    which is back's input, and back(y) == x with x checked leaves nothing
+    for the inverse's check of its result to find."""
     image, bad = set(), None
     for x in inputs:
         try:
@@ -399,14 +404,15 @@ def _verify_checks(report: RunReport, rs, group, m: int) -> None:
     check("count silting in degree window 1..m", positive, len(shifted))
     check("count m-config in minus window", positive, len(minus))
 
-    image, bad = _round_trip(tilting, silting_to_config, config_to_silting)
+    config_set = set(configs)
+    image, bad = _round_trip(tilting, silting_to_config, _config_to_silting)
     check_none("silting/config round trip", bad, collection_to_list)
-    check("silting image is the m-config set", True, image == set(configs))
+    check("silting image is the m-config set", True, image == config_set)
 
     image, bad = _round_trip(ncs, lambda t: phi(group, t),
-                             lambda y: phi_inverse(group, y, m))
+                             lambda y: _phi_inverse(group, y, m))
     check_none("phi round trip", bad, lambda t: nc_to_dict(group, t))
-    check("phi image is the m-config set", True, image == set(configs))
+    check("phi image is the m-config set", True, image == config_set)
 
     bad = next((c for c in tilting if not _holds(_signs_ok, c)), None)
     check_none("silting-to-config signs negative or orthogonal", bad,
@@ -463,7 +469,7 @@ def cmd_riedtmann(args) -> int:
     report.counts["minus-window-1-configs"] = len(minus)
     report.counts["expected-tilting-modules"] = positive
     if args.verify:
-        _, bad = _round_trip(minus, config_to_riedtmann, riedtmann_to_config)
+        _, bad = _round_trip(minus, config_to_riedtmann, _riedtmann_to_config)
         report.check_none("riedtmann round trip", bad, collection_to_list)
         report.check("count equals positive Fuss-Catalan", positive, len(minus))
     report.elapsed = time.perf_counter() - start

@@ -262,9 +262,8 @@ class WindowSpec:
             raise ValueError("window lo must not exceed hi")
 
     def contains(self, x: DObj) -> bool:
-        rows = _window_masks(x.rs, self)
-        k = x.degree - rows[0][0]
-        return 0 <= k < len(rows) and bool(rows[k][1] >> x.root & 1)
+        rows = _window_masks(x.rs, self, x.degree)
+        return bool(rows) and bool(rows[0][1] >> x.root & 1)
 
     def to_dict(self) -> dict:
         return {"lo": self.lo, "hi": self.hi,
@@ -272,17 +271,30 @@ class WindowSpec:
                 "minus_projectives": self.minus_projectives}
 
 
-def _window_masks(rs: RootSystemData, w: WindowSpec) -> list[tuple[int, int]]:
+def _window_masks(rs: RootSystemData, w: WindowSpec,
+                  degree: int | None = None) -> list[tuple[int, int]]:
     """Per degree of the window, lowest first, the mask of the roots whose
     stalk in that degree the window contains: every root in lo..hi, less
     the projectives at lo under minus_projectives, and the injectives at
-    lo - 1 under plus_injectives.  The one decision of window membership."""
+    lo - 1 under plus_injectives.  Given a degree, only that degree's row,
+    if the window has one.  The one decision of window membership."""
+    bottom = w.lo - 1 if w.plus_injectives else w.lo
+    if degree is None:
+        degrees = range(bottom, w.hi + 1)
+    elif bottom <= degree <= w.hi:
+        degrees = (degree,)
+    else:
+        return []
     full = (1 << len(rs.positive_roots)) - 1
-    rows = [(d, full) for d in range(w.lo, w.hi + 1)]
-    if w.minus_projectives:
-        rows[0] = (w.lo, full & ~sum(1 << r for r in rs._proj_vertex))
-    if w.plus_injectives:
-        rows.insert(0, (w.lo - 1, sum(1 << r for r in rs._inj_vertex)))
+    rows = []
+    for d in degrees:
+        if d < w.lo:
+            mask = sum(1 << r for r in rs._inj_vertex)
+        elif d == w.lo and w.minus_projectives:
+            mask = full & ~sum(1 << r for r in rs._proj_vertex)
+        else:
+            mask = full
+        rows.append((d, mask))
     return rows
 
 

@@ -151,15 +151,21 @@ def riedtmann_to_config(p: PeriodicConfig) -> DCollection:
     Hom<=0-configuration, inverse to config_to_riedtmann."""
     if not is_combinatorial_configuration(p, _RIEDTMANN_PROBE):
         raise ValueError("not a combinatorial configuration")
-    rs = p.seeds.rs
-    result = collection(DObj(rs, r, e) for seed in p.seeds.objects
-                        for r, e in _orbit(seed, 0, 1)
-                        if e == 1 or not rs.is_projective_root(r))
+    result = _riedtmann_to_config(p)
     if not is_hom_leq0_config(result):
         raise MutationError(
             "minus-window part of a periodic configuration must be a configuration"
         )
     return result
+
+
+def _riedtmann_to_config(p: PeriodicConfig) -> DCollection:
+    """riedtmann_to_config without its checks: the F-orbit members in
+    degree 1, and in degree 0 less the projectives."""
+    rs = p.seeds.rs
+    return collection(DObj(rs, r, e) for seed in p.seeds.objects
+                      for r, e in _orbit(seed, 0, 1)
+                      if e == 1 or not rs.is_projective_root(r))
 
 
 # ---------------------------------------------------------------------------

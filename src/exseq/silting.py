@@ -389,9 +389,16 @@ def config_to_silting(col: DCollection) -> DCollection:
     reason = explain_not_config(col)
     if reason is not None:
         raise ValueError(f"not a configuration: {reason}")
-    out, _signs = mu_rev_inverse(order_config(col))
-    result = collection(out)
+    result = _config_to_silting(col)
     reason = explain_not_silting(result)
     if reason is not None:
         raise MutationError(f"inverse mu_rev of a configuration must be silting: {reason}")
     return result
+
+
+def _config_to_silting(col: DCollection) -> DCollection:
+    """config_to_silting without its checks, for a collection already known
+    to be a configuration.  A caller that also knows which silting object
+    the result must equal needs no check of the result either."""
+    out, _signs = mu_rev_inverse(order_config(col))
+    return collection(out)

@@ -264,6 +264,12 @@ def phi_inverse(group: WeylGroup, col: DCollection, m: int) -> NCTuple:
     pass the chain check of phi."""
     if not is_m_config(col, m):
         raise ValueError("input is not an m-configuration")
+    return _phi_inverse(group, col, m)
+
+
+def _phi_inverse(group: WeylGroup, col: DCollection, m: int) -> NCTuple:
+    """phi_inverse without the check of its input, for a collection already
+    known to be an m-configuration; the chain check still runs."""
     perp, full = group._perp, group.coxeter
     parts = []
     for degree in range(m, -1, -1):

@@ -19,7 +19,8 @@ subset-sum search over dimension vectors, and Fac-torsion membership from
 checking that the joint image of all homomorphisms covers the target
 (type A).  The periodic-configuration checks are the bounded
 loops over F-powers f_power(x, k), |k| up to a degree reach, against which
-the library's orbit walk is compared.  It also lists every admissible
+the library's orbit walk is compared; they decide window membership object
+by object, not from the library's window masks.  It also lists every admissible
 numbering of a Dynkin diagram, the input of the orientation sweeps.
 """
 from __future__ import annotations
@@ -32,7 +33,7 @@ from operator import and_
 from typing import Iterable
 
 from exseq.derived import (
-    DObj, WindowSpec, f_power, hom_dim, nonzero_exts, window_objects,
+    DObj, WindowSpec, f_power, hom_dim, is_injective, is_projective, nonzero_exts,
 )
 from exseq.riedtmann import PeriodicConfig
 from exseq.roots import (
@@ -610,6 +611,22 @@ def _degree_span(objs) -> int:
     return max(degrees) - min(degrees)
 
 
+def in_window(x: DObj, w: WindowSpec) -> bool:
+    """Inside [lo, hi] and not a projective at lo under minus_projectives,
+    or an injective at lo - 1 under plus_injectives."""
+    if x.degree == w.lo - 1:
+        return w.plus_injectives and is_injective(x)
+    return (w.lo <= x.degree <= w.hi
+            and not (w.minus_projectives and x.degree == w.lo and is_projective(x)))
+
+
+def window_members(rs: RootSystemData, w: WindowSpec) -> list[DObj]:
+    """The objects of degree lo - 1 .. hi that in_window admits."""
+    grid = (DObj(rs, r, d) for d in range(w.lo - 1, w.hi + 1)
+            for r in range(len(rs.positive_roots)))
+    return [x for x in grid if in_window(x, w)]
+
+
 def same_f_orbit(a: DObj, b: DObj, reach: int) -> bool:
     return any(f_power(a, k) == b for k in range(-reach, reach + 1))
 
@@ -636,7 +653,7 @@ def is_combinatorial_configuration(p: PeriodicConfig, probe_window: WindowSpec) 
                     continue
                 if hom_dim(a, f_power(b, k)) != 0:
                     return False
-    for z in window_objects(p.seeds.rs, probe_window):
+    for z in window_members(p.seeds.rs, probe_window):
         gap = max(abs(a.degree - z.degree) for a in seeds) + 2
         if not any(hom_dim(f_power(a, k), z) != 0
                    for a in seeds for k in range(-gap, gap + 1)):
@@ -653,7 +670,7 @@ def riedtmann_to_config(p: PeriodicConfig) -> DCollection:
         reach = abs(seed.degree) + 3
         for k in range(-reach, reach + 1):
             x = f_power(seed, k)
-            if window.contains(x):
+            if in_window(x, window):
                 members.add(x)
     result = collection(members)
     if not is_hom_leq0_config(result):

@@ -17,7 +17,7 @@ from exseq import (
     MutationError, QuiverDescriptor, build_root_system, enumerate_complete_sequences,
     enumerate_kind, enumerate_m_nc, fuss_catalan, generate_weyl,
 )
-from exseq import cli
+from exseq import cli, riedtmann, silting
 from exseq.cli import _objects_chunks, main
 from exseq.derived import obj_to_dict
 from exseq.sequences import _sample_complete_sequences, _sequence_counts
@@ -555,14 +555,14 @@ def test_nc_m_zero_is_the_coxeter_element(capsys):
 
 
 class CallLog:
-    """Wraps cli.<name>, counting calls; `fault(k, *args)` may replace the
-    result of the k-th call (0-based) or raise."""
+    """Wraps module.<name>, cli by default, counting calls; `fault(k, *args)`
+    may replace the result of the k-th call (0-based) or raise."""
 
-    def __init__(self, monkeypatch, name, fault=None):
-        self.inner = getattr(cli, name)
+    def __init__(self, monkeypatch, name, fault=None, module=cli):
+        self.inner = getattr(module, name)
         self.calls = 0
         self.fault = fault
-        monkeypatch.setattr(cli, name, self)
+        monkeypatch.setattr(module, name, self)
 
     def __call__(self, *args):
         k, self.calls = self.calls, self.calls + 1
@@ -604,7 +604,7 @@ def failed_only(checks, *names):
 @pytest.mark.parametrize("k", [0, 5, 13])
 def test_verify_phi_round_trip_reports_kth_partition(capsys, monkeypatch, k):
     forward = CallLog(monkeypatch, "phi")
-    CallLog(monkeypatch, "phi_inverse", wrong_at(k))
+    CallLog(monkeypatch, "_phi_inverse", wrong_at(k))
     code, checks = verify_a3(capsys)
     assert code == 1
     failed_only(checks, "phi round trip")
@@ -615,7 +615,7 @@ def test_verify_phi_round_trip_reports_kth_partition(capsys, monkeypatch, k):
 @pytest.mark.parametrize("k", [0, 5, 13])
 def test_verify_silting_round_trip_reports_kth_object(capsys, monkeypatch, k):
     forward = CallLog(monkeypatch, "silting_to_config")
-    CallLog(monkeypatch, "config_to_silting", wrong_at(k))
+    CallLog(monkeypatch, "_config_to_silting", wrong_at(k))
     code, checks = verify_a3(capsys)
     assert code == 1
     failed_only(checks, "silting/config round trip")
@@ -626,13 +626,15 @@ def test_verify_silting_round_trip_reports_kth_object(capsys, monkeypatch, k):
 
 # A fault injected into the third call of each function, the check it must
 # fail, any other check that fails with it, and the input of that call.
+# verify calls the unchecked private inverses; a case is named after the
+# bijection.
 INJECTED = [
     ("phi", "phi round trip", ["phi image is the m-config set"],
      nc_to_dict(A3_GROUP, A3_NCS[2])),
-    ("phi_inverse", "phi round trip", [], nc_to_dict(A3_GROUP, A3_NCS[2])),
+    ("_phi_inverse", "phi round trip", [], nc_to_dict(A3_GROUP, A3_NCS[2])),
     ("silting_to_config", "silting/config round trip",
      ["silting image is the m-config set"], collection_to_list(A3_TILTING[2])),
-    ("config_to_silting", "silting/config round trip", [],
+    ("_config_to_silting", "silting/config round trip", [],
      collection_to_list(A3_TILTING[2])),
     ("order_silting", "silting-to-config signs negative or orthogonal", [],
      collection_to_list(A3_TILTING[2])),
@@ -644,7 +646,7 @@ INJECTED = [
 
 @pytest.mark.parametrize("exc", [MutationError, ValueError])
 @pytest.mark.parametrize("name,check,also,counterexample", INJECTED,
-                         ids=[row[0] for row in INJECTED])
+                         ids=[row[0].lstrip("_") for row in INJECTED])
 def test_verify_internal_error_is_a_failed_check(capsys, monkeypatch, exc,
                                                  name, check, also, counterexample):
     CallLog(monkeypatch, name, raise_at(2, exc))
@@ -658,7 +660,8 @@ A3_MINUS = enumerate_kind(A3, "m-config-minus", 1)
 
 
 @pytest.mark.parametrize("exc", [MutationError, ValueError])
-@pytest.mark.parametrize("name", ["config_to_riedtmann", "riedtmann_to_config"])
+@pytest.mark.parametrize("name", ["config_to_riedtmann", "_riedtmann_to_config"],
+                         ids=lambda name: name.lstrip("_"))
 def test_riedtmann_internal_error_is_a_failed_check(capsys, monkeypatch, name, exc):
     CallLog(monkeypatch, name, raise_at(2, exc))
     code, payload = run(capsys, "riedtmann", "--type", "A3", "--verify")
@@ -668,6 +671,27 @@ def test_riedtmann_internal_error_is_a_failed_check(capsys, monkeypatch, name, e
     failed_only(checks, "riedtmann round trip")
     assert (checks["riedtmann round trip"]["counterexample"]
             == collection_to_list(A3_MINUS[2]))
+
+
+# Calls of (explain_not_config, is_combinatorial_configuration).  Each round
+# trip checks its collections in the forward bijection only: verify checks
+# one configuration per m-cluster-tilting object (silting_to_config's
+# image) and one per partition (phi's), and riedtmann --verify checks each
+# minus-window configuration once as a configuration and once, as an
+# F-orbit family, as a periodic one.
+CHECKED_ONCE = [
+    (("verify", "--type", "A3", "--m", "1"), (len(A3_TILTING) + len(A3_NCS), 0)),
+    (("riedtmann", "--type", "A3", "--verify"), (len(A3_MINUS), len(A3_MINUS))),
+]
+
+
+@pytest.mark.parametrize("argv,calls", CHECKED_ONCE, ids=["verify", "riedtmann"])
+def test_round_trips_check_each_collection_once(capsys, monkeypatch, argv, calls):
+    configs = CallLog(monkeypatch, "explain_not_config", module=silting)
+    periodic = CallLog(monkeypatch, "is_combinatorial_configuration", module=riedtmann)
+    code, payload = run(capsys, *argv)
+    assert code == 0 and payload["passed"]
+    assert (configs.calls, periodic.calls) == calls
 
 
 def test_verify_counts_every_sequence_after_a_law_fails(capsys, monkeypatch):
