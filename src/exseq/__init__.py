@@ -20,18 +20,16 @@ from .sequences import (
 from .silting import (
     DCollection, collection, config_to_silting, enumerate_configs,
     enumerate_kind, enumerate_silting, is_hom_leq0_config, is_m_cluster_tilting,
-    is_m_config, is_partial_silting, is_silting, order_config, order_silting,
-    silting_to_config,
+    is_m_config, is_silting, order_config, order_silting, silting_to_config,
 )
 from .weyl import (
-    NCTuple, WeylGroup, coxeter_element, enumerate_m_nc,
-    generate_weyl, phi, phi_inverse, reflection_factorizations,
-    reflection_matrix, reflection_of_object, sequence_reflection_product,
+    NCTuple, WeylGroup, coxeter_element, enumerate_m_nc, generate_weyl, phi,
+    phi_inverse, reflection_matrix,
 )
 from .riedtmann import (
-    PeriodicConfig, check_negative_mutation_invariance, config_to_riedtmann,
-    ext_projectives, is_combinatorial_configuration, make_periodic,
-    riedtmann_to_config, torsion_window,
+    PeriodicConfig, config_to_riedtmann, ext_projectives,
+    is_combinatorial_configuration, make_periodic, riedtmann_to_config,
+    torsion_window,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -24,7 +24,7 @@ from .derived import (
     DObj, WindowSpec, _require_categorical, _window_masks, forbidden_ext,
     is_projective, window_objects,
 )
-from .sequences import ExcSeq, MutationError, MutationSign, mutate
+from .sequences import MutationError
 from .silting import DCollection, collection, is_hom_leq0_config, is_m_config
 
 
@@ -178,15 +178,6 @@ def torsion_window(col: DCollection, w: WindowSpec) -> frozenset[DObj]:
     return frozenset(z for z in window_objects(col.rs, w)
                      if all(forbidden_ext(s, z, "silting") is None
                             for s in col.objects))
-
-
-def check_negative_mutation_invariance(seq: ExcSeq, i: int, w: WindowSpec) -> bool:
-    """Prop-style invariance check: a negative (or orthogonal) right mutation
-    at position i leaves the window torsion class of the summand set unchanged."""
-    mutated, sign = mutate(seq, i, "right")
-    if sign is MutationSign.NONNEGATIVE:
-        raise ValueError("mutation at this position is not negative")
-    return torsion_window(collection(seq), w) == torsion_window(collection(mutated), w)
 
 
 # The degrees trimmed from each side of the window by ext_projectives.

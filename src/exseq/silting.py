@@ -103,10 +103,6 @@ def explain_not_config(col: DCollection) -> str | None:
     return reason
 
 
-def is_partial_silting(col: DCollection) -> bool:
-    return _explain_pairs(col.objects, "silting") is None
-
-
 def is_silting(col: DCollection) -> bool:
     return explain_not_silting(col) is None
 

@@ -146,7 +146,7 @@ def generate_weyl(rs: RootSystemData) -> WeylGroup:
 
 
 # ---------------------------------------------------------------------------
-# Noncrossing partitions and reflection factorizations.
+# Noncrossing partitions.
 # ---------------------------------------------------------------------------
 
 def enumerate_m_nc(group: WeylGroup, m: int) -> list[NCTuple]:
@@ -180,38 +180,24 @@ def _count_m_nc(group: WeylGroup, m: int) -> int:
     prefix that leaves v number count_k(v), the sum of count_{k-1}(W(v) &
     perp W(u)) over u in [1, v], and count_0 = 1.  As u -> u^-1 v permutes
     [1, v], that is the sum of count_{k-1} over [1, v].  Each [1, v] is a
-    bitset over [1, c] by size: v and the union of those of its children."""
+    bitset over [1, c] by size: v and the union of those of its children.
+    The sum is taken by bit planes: plane j holds the elements whose count
+    has bit j set, so the sum over [1, v] is that of 2^j times the number of
+    bits [1, v] shares with plane j."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    counts = [1] * len(group.elements)     # count_{m-1} on [1, c], here for m = 1
-    if m >= 2:
-        below: dict[int, int] = {}
-        for i, v in enumerate(sorted(group.elements, key=int.bit_count)):
-            below[v] = reduce(or_, (below[v & group._perp[x]] for x in _bits(v)), 1 << i)
-        counts = [b.bit_count() for b in below.values()]
-        for _ in range(m - 2):
-            counts = [sum(map(counts.__getitem__, _bits(b))) for b in below.values()]
-    return sum(counts) if m else 1
-
-
-def reflection_factorizations(group: WeylGroup, w: int) -> list[tuple[int, ...]]:
-    """T-reduced words for w in [1, c], as tuples of positive-root indices."""
-    if not group.below_coxeter(w):
-        raise ValueError("element is not below the Coxeter element in absolute order")
-    return list(_words(group._perp, w))
-
-
-def reflection_of_object(x: DObj) -> WeylElt:
-    """The reflection along the class of x; degree-independent."""
-    return reflection_matrix(x.rs, x.root)
-
-
-def sequence_reflection_product(seq: Iterable[DObj]) -> WeylElt:
-    items = tuple(seq)
-    if not items:
-        raise ValueError("empty sequence has no reflection product")
-    return reduce(mat_mul, map(reflection_of_object, items),
-                  mat_identity(items[0].rs.n))
+    if m <= 1:
+        return len(group.elements) if m else 1
+    below: dict[int, int] = {}
+    for i, v in enumerate(sorted(group.elements, key=int.bit_count)):
+        below[v] = reduce(or_, (below[v & group._perp[x]] for x in _bits(v)), 1 << i)
+    counts = [b.bit_count() for b in below.values()]     # count_1 on [1, c]
+    for _ in range(m - 2):
+        planes = [(j, int("".join("01"[c >> j & 1] for c in reversed(counts)), 2))
+                  for j in range(max(counts).bit_length())]
+        counts = [sum((b & plane).bit_count() << j for j, plane in planes)
+                  for b in below.values()]
+    return sum(counts)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ comes from breadth-first search in the Cayley graph and from the fixed space
 of an element, the interval [1, c] and its wide masks from a descent that
 tests each root against the fixed space, the m-noncrossing partitions from
 a scan of [1, c] below each part, phi^-1 from matrix products along the
-exceptional order of each degree, the left and right perpendicular masks
+exceptional order of each degree, the reflection product of a sequence of
+objects from reflection matrices, the left and right perpendicular masks
 from the Hom-table columns and rows, a wide subcategory from
 the perpendicular of a completed exceptional sequence and its simples from a
 subset-sum search over dimension vectors, and Fac-torsion membership from
@@ -442,6 +443,16 @@ def enumerate_m_nc_scan(group: WeylGroup, m: int) -> list[NCTuple]:
     split(group.coxeter, m + 1, ())
     out.sort(key=lambda parts: list(map(group.matrix, parts)))
     return out
+
+
+def sequence_reflection_product(seq: Iterable[DObj]) -> WeylElt:
+    """The product of the reflections along the classes of a sequence of
+    objects, in order, as matrices; the degrees play no part."""
+    items = tuple(seq)
+    if not items:
+        raise ValueError("empty sequence has no reflection product")
+    return reduce(mat_mul, (reflection_matrix(x.rs, x.root) for x in items),
+                  mat_identity(items[0].rs.n))
 
 
 @cache

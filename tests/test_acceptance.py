@@ -15,14 +15,15 @@ from exseq import (
     coxeter_element, enumerate_complete_sequences, enumerate_kind,
     enumerate_m_nc, ext_dim, fuss_catalan, generate_weyl, hom_dim, mu_rev,
     mu_rev_inverse, mutate, nu_inv, phi, phi_inverse, reflect,
-    riedtmann_to_config, sequence_reflection_product, shift,
-    silting_to_config, torsion_window,
+    riedtmann_to_config, shift, silting_to_config, torsion_window,
 )
 from exseq.derived import nonzero_exts
 from exseq.sequences import mu_rev_inverse_steps, mu_rev_steps
 from exseq.silting import order_config, order_silting
 
-from oracle import derived_hom_oracle, enumerate_tilting_oracle
+from oracle import (
+    derived_hom_oracle, enumerate_tilting_oracle, sequence_reflection_product,
+)
 
 SYSTEMS = {
     name: build_root_system(QuiverDescriptor.standard(name[0], int(name[1])))

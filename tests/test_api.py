@@ -10,21 +10,18 @@ PUBLIC_NAMES = [
     'DCollection', 'DObj', 'ExcSeq', 'MutationError', 'MutationSign',
     'NCTuple', 'PeriodicConfig', 'QuiverDescriptor', 'QuiverError',
     'RootSystemData', 'WeylGroup', 'WindowSpec',
-    'build_root_system', 'check_negative_mutation_invariance', 'class_of',
-    'collection', 'config_to_riedtmann', 'config_to_silting',
-    'coxeter_element', 'coxeter_transform', 'derived',
+    'build_root_system', 'class_of', 'collection', 'config_to_riedtmann',
+    'config_to_silting', 'coxeter_element', 'coxeter_transform', 'derived',
     'enumerate_complete_sequences', 'enumerate_configs', 'enumerate_kind',
     'enumerate_m_nc', 'enumerate_silting', 'euler_form', 'ext_dim',
     'ext_projectives', 'f_power', 'f_translate', 'f_translate_inv',
     'fuss_catalan', 'generate_weyl', 'hom_dim', 'inj',
     'is_combinatorial_configuration', 'is_exceptional', 'is_hom_leq0_config',
-    'is_injective', 'is_m_cluster_tilting', 'is_m_config',
-    'is_partial_silting', 'is_projective', 'is_silting', 'make_periodic',
-    'mu_rev', 'mu_rev_inverse', 'mutate', 'nu', 'nu_inv', 'obj',
-    'object_of_class', 'order_config', 'order_silting', 'phi', 'phi_inverse',
-    'proj', 'reflect', 'reflection_factorizations', 'reflection_matrix',
-    'reflection_of_object', 'riedtmann', 'riedtmann_to_config', 'roots',
-    'rotate', 'sequence_reflection_product', 'sequences', 'shift', 'silting',
+    'is_injective', 'is_m_cluster_tilting', 'is_m_config', 'is_projective',
+    'is_silting', 'make_periodic', 'mu_rev', 'mu_rev_inverse', 'mutate', 'nu',
+    'nu_inv', 'obj', 'object_of_class', 'order_config', 'order_silting',
+    'phi', 'phi_inverse', 'proj', 'reflect', 'reflection_matrix', 'riedtmann',
+    'riedtmann_to_config', 'roots', 'rotate', 'sequences', 'shift', 'silting',
     'silting_to_config', 'simple', 'sym_form', 'tau', 'tau_inv',
     'torsion_window', 'weyl', 'window_objects',
 ]
@@ -42,8 +39,6 @@ SIGNATURES = {
         "(lo: 'int', hi: 'int', plus_injectives: 'bool' = False, "
         "minus_projectives: 'bool' = False) -> None",
     'build_root_system': "(q: 'QuiverDescriptor') -> 'RootSystemData'",
-    'check_negative_mutation_invariance':
-        "(seq: 'ExcSeq', i: 'int', w: 'WindowSpec') -> 'bool'",
     'class_of': "(x: 'DObj') -> 'DimVector'",
     'collection': "(objs: 'Iterable[DObj]') -> 'DCollection'",
     'config_to_riedtmann': "(col: 'DCollection') -> 'PeriodicConfig'",
@@ -80,7 +75,6 @@ SIGNATURES = {
     'is_injective': "(x: 'DObj') -> 'bool'",
     'is_m_cluster_tilting': "(col: 'DCollection', m: 'int') -> 'bool'",
     'is_m_config': "(col: 'DCollection', m: 'int') -> 'bool'",
-    'is_partial_silting': "(col: 'DCollection') -> 'bool'",
     'is_projective': "(x: 'DObj') -> 'bool'",
     'is_silting': "(col: 'DCollection') -> 'bool'",
     'make_periodic': "(seeds: 'DCollection') -> 'PeriodicConfig'",
@@ -108,13 +102,9 @@ SIGNATURES = {
     'reflect':
         "(rs: 'RootSystemData', x: 'DimVector', "
         "v: 'DimVector') -> 'DimVector'",
-    'reflection_factorizations':
-        "(group: 'WeylGroup', w: 'int') -> 'list[tuple[int, ...]]'",
     'reflection_matrix': "(rs: 'RootSystemData', root: 'int') -> 'WeylElt'",
-    'reflection_of_object': "(x: 'DObj') -> 'WeylElt'",
     'riedtmann_to_config': "(p: 'PeriodicConfig') -> 'DCollection'",
     'rotate': "(seq: 'ExcSeq') -> 'ExcSeq'",
-    'sequence_reflection_product': "(seq: 'Iterable[DObj]') -> 'WeylElt'",
     'shift': "(x: 'DObj', k: 'int' = 1) -> 'DObj'",
     'silting_to_config': "(col: 'DCollection') -> 'DCollection'",
     'simple':

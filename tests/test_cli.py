@@ -1,12 +1,14 @@
 """Command-line interface: reports, artifacts, exit codes."""
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -654,6 +656,48 @@ def test_verify_internal_error_is_a_failed_check(capsys, monkeypatch, exc,
     assert code == 1
     failed_only(checks, check, *also)
     assert checks[check]["counterexample"] == counterexample
+
+
+def test_verify_image_check_fails_on_a_repeated_image(capsys, monkeypatch):
+    # The third call returns the first input's image: that image is then
+    # made twice and the third input's never, so the image check fails with
+    # the round trip, and nothing else does.
+    images = []
+
+    def repeat_first(call, out):
+        images.append(out)
+        return images[0] if call == 2 else out
+
+    CallLog(monkeypatch, "silting_to_config", repeat_first)
+    code, checks = verify_a3(capsys)
+    assert code == 1
+    failed_only(checks, "silting/config round trip", "silting image is the m-config set")
+    assert (checks["silting/config round trip"]["counterexample"]
+            == collection_to_list(A3_TILTING[2]))
+
+
+def test_verify_keeps_no_image(capsys, monkeypatch):
+    # Each phi image is compared with the m-configurations as it is made,
+    # then dropped: none is alive once both round trips are done, which is
+    # before the sequence count.
+    images, checked = [], []
+
+    def record(call, out):
+        images.append(weakref.ref(out))
+        return out
+
+    def sequence_counts(rs):
+        gc.collect()
+        checked.append(sum(ref() is not None for ref in images))
+        return cli_sequence_counts(rs)
+
+    CallLog(monkeypatch, "phi", record)
+    cli_sequence_counts = cli._sequence_counts
+    monkeypatch.setattr(cli, "_sequence_counts", sequence_counts)
+    code, _ = verify_a3(capsys)
+    assert code == 0
+    assert len(images) == len(A3_NCS)
+    assert checked == [0]       # images alive when the sequences are counted
 
 
 A3_MINUS = enumerate_kind(A3, "m-config-minus", 1)

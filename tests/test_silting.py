@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from exseq import (
     MutationSign, QuiverDescriptor, WindowSpec, build_root_system, collection,
     config_to_silting, enumerate_configs, enumerate_kind, enumerate_silting,
-    is_hom_leq0_config, is_m_cluster_tilting, is_m_config, is_partial_silting,
-    is_silting, mu_rev, mu_rev_inverse, proj, shift, silting_to_config, simple,
+    is_hom_leq0_config, is_m_cluster_tilting, is_m_config, is_silting,
+    mu_rev, mu_rev_inverse, proj, shift, silting_to_config, simple,
 )
 from exseq.derived import nonzero_exts, window_objects
 from exseq.sequences import is_exceptional
 from exseq.silting import (
-    _M_KINDS, _cliques_of_size, _compatibility_graph, _topo_sort,
+    _M_KINDS, _cliques_of_size, _compatibility_graph, _explain_pairs, _topo_sort,
     collection_from_list, collection_to_list, explain_not_config,
     explain_not_silting, order_config, order_silting,
 )
@@ -27,9 +27,9 @@ from oracle import (
 def test_silting_predicates_a2(a2):
     s1, s2, p1 = simple(a2, 1), simple(a2, 2), proj(a2, 1)
     assert is_silting(collection([p1, s1]))            # a tilting module
-    assert not is_partial_silting(collection([s1, shift(s1, 1)]))
-    assert not is_partial_silting(collection([shift(s1, 1), shift(s2, 1)]))
-    assert is_partial_silting(collection([p1]))
+    assert _explain_pairs(collection([s1, shift(s1, 1)]).objects, "silting")
+    assert _explain_pairs(collection([shift(s1, 1), shift(s2, 1)]).objects, "silting")
+    assert _explain_pairs(collection([p1]).objects, "silting") is None
     assert not is_silting(collection([p1]))            # maximality needs n summands
 
 
@@ -411,7 +411,7 @@ def test_predicates_match_pairwise_oracle(family, rank):
             for sub in itertools.combinations(objs, k):
                 col = collection(sub)
                 silting = expected("silting", col)
-                assert is_partial_silting(col) == (silting is None), (q, col)
+                assert _explain_pairs(col.objects, "silting") == silting, (q, col)
                 if k == rs.n:
                     assert explain_not_silting(col) == silting, (q, col)
                     config = expected("config", col)
