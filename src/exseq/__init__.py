@@ -5,8 +5,7 @@ m-noncrossing partitions, together with the mutation bijections between
 them, all in exact integer arithmetic.
 """
 from .roots import (
-    QuiverDescriptor, QuiverError, RootSystemData, build_root_system,
-    coxeter_transform, euler_form, fuss_catalan, reflect, sym_form,
+    QuiverDescriptor, QuiverError, RootSystemData, build_root_system, fuss_catalan,
 )
 from .derived import (
     DObj, WindowSpec, class_of, ext_dim, f_power, f_translate,
@@ -23,8 +22,8 @@ from .silting import (
     is_m_config, is_silting, order_config, order_silting, silting_to_config,
 )
 from .weyl import (
-    NCTuple, WeylGroup, coxeter_element, enumerate_m_nc, generate_weyl, phi,
-    phi_inverse, reflection_matrix,
+    NCTuple, WeylGroup, enumerate_m_nc, generate_weyl, phi, phi_inverse,
+    reflection_matrix,
 )
 from .riedtmann import (
     PeriodicConfig, config_to_riedtmann, ext_projectives,

@@ -1,7 +1,7 @@
 """Root systems of Dynkin quivers.
 
-Positive roots, the Euler and symmetrized bilinear forms, reflections, the
-Coxeter transformation, exponents and Fuss-Catalan numbers.  Everything is
+Positive roots, the Cartan, symmetrized and Euler matrices, the Coxeter
+element and its inverse, exponents and Fuss-Catalan numbers.  Everything is
 exact integer arithmetic; no floating point enters any computation.
 
 The categorical layers (derived objects, mutation, silting) require a
@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
-from operator import mul
+from operator import add, mul
 
 DimVector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -64,10 +63,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 def mat_transpose(m: IntMatrix) -> IntMatrix:
     return tuple(zip(*m))
-
-
-def mat_neg(m: IntMatrix) -> IntMatrix:
-    return tuple(tuple(-x for x in row) for row in m)
 
 
 _NONZERO = bytes([48] + [49] * 255)    # byte 0 -> "0", any other -> "1"
@@ -233,6 +228,19 @@ def _weyl_only_cartan(family: str, n: int) -> tuple[IntMatrix, tuple[int, ...]]:
     return tuple(tuple(row) for row in c), d
 
 
+def _reflection_product(cartan: IntMatrix, order) -> IntMatrix:
+    """The product of the simple reflections s_i, i in order, leftmost first.
+    s_i is the identity with row i replaced by e_i minus row i of the Cartan
+    matrix, so left-multiplying by it rewrites row i alone: the product is
+    built right to left, one row update per factor."""
+    rows = [list(row) for row in mat_identity(len(cartan))]
+    for i in reversed(order):
+        terms = [(c, rows[j]) for j, c in enumerate(cartan[i]) if c]
+        rows[i] = [x - sum(c * row[k] for c, row in terms)
+                   for k, x in enumerate(rows[i])]
+    return tuple(map(tuple, rows))
+
+
 # ---------------------------------------------------------------------------
 # The assembled root system.
 # ---------------------------------------------------------------------------
@@ -240,6 +248,14 @@ def _weyl_only_cartan(family: str, n: int) -> tuple[IntMatrix, tuple[int, ...]]:
 class RootSystemData:
     """Root-combinatorial data of a quiver.  Immutable after construction;
     instances may be shared freely across threads.
+
+    For every family it holds the Cartan matrix, the symmetrized matrix
+    diag(symmetrizers) times it, and the Euler matrix: the symmetrizers on
+    the diagonal and the symmetrized matrix above it, zero below.  For A, D,
+    E that is the Euler form of the quiver, I minus the arrow counts; for B,
+    C, F, G that of the species.  Beside them sit the Coxeter element
+    `coxeter_matrix` = s_1 ... s_n in vertex order, the Coxeter
+    transformation on K_0, and `coxeter_inverse` = s_n ... s_1.
 
     For the A, D, E families construction also fills `hom_table`, by a
     recurrence along the tau-orbits of the projectives: entry
@@ -282,6 +298,16 @@ class RootSystemData:
                 if self.sym_matrix[i][j] != self.sym_matrix[j][i]:
                     raise QuiverError("Cartan data does not symmetrize")
 
+        self.euler_matrix: IntMatrix = tuple(
+            tuple(self.symmetrizers[i] if i == j else self.sym_matrix[i][j] * (i < j)
+                  for j in range(n))
+            for i in range(n)
+        )
+        self.coxeter_matrix: IntMatrix = _reflection_product(
+            self.cartan_matrix, range(n))
+        self.coxeter_inverse: IntMatrix = _reflection_product(
+            self.cartan_matrix, range(n - 1, -1, -1))
+
         self.positive_roots: tuple[DimVector, ...] = self._close_roots()
         self.root_index: dict[DimVector, int] = {
             r: k for k, r in enumerate(self.positive_roots)
@@ -292,11 +318,8 @@ class RootSystemData:
         self.coxeter_number: int = two_count // n
         self.exponents: tuple[int, ...] = self._exponents()
 
-        # Categorical (ADE) layer: Euler form, Coxeter transformation and the
-        # projective/injective dimension vectors.
-        self.euler_matrix: IntMatrix | None = None
-        self.coxeter_matrix: IntMatrix | None = None
-        self.coxeter_inverse: IntMatrix | None = None
+        # Categorical (ADE) layer: the projective/injective dimension vectors
+        # and the tables built on them.
         self.proj_dims: tuple[DimVector, ...] | None = None
         self.inj_dims: tuple[DimVector, ...] | None = None
         self._proj_vertex: dict[int, int] = {}
@@ -359,39 +382,27 @@ class RootSystemData:
 
     def _build_categorical(self) -> None:
         n = self.n
-        mult = [[0] * n for _ in range(n)]
-        for i, j in self.quiver.arrows:
-            mult[i - 1][j - 1] += 1
-        euler = tuple(
-            tuple((i == j) - mult[i][j] for j in range(n)) for i in range(n)
-        )
-        # E = I - N with N strictly upper triangular, so E^-1 = sum N^k exactly.
-        npow = mat_identity(n)
-        einv = mat_identity(n)
-        nmat = tuple(tuple(mult[i][j] for j in range(n)) for i in range(n))
-        for _ in range(n - 1):
-            npow = mat_mul(npow, nmat)
-            einv = tuple(
-                tuple(einv[i][j] + npow[i][j] for j in range(n)) for i in range(n)
-            )
-        phi = mat_neg(mat_mul(einv, mat_transpose(euler)))
-        phi_inv = mat_neg(mat_mul(mat_transpose(einv), euler))
+        phi, phi_inv = self.coxeter_matrix, self.coxeter_inverse
         if mat_mul(phi, phi_inv) != mat_identity(n):
             raise QuiverError("Coxeter matrix inversion failed")
-
-        # E^-1[i][j] counts the paths i -> j: the rows of E^-1 are the dim P_i,
-        # its columns the dim I_i.
+        # E = I - N with N strictly upper triangular, so E^-1 = sum N^k
+        # exactly.  N counts the arrows i -> j, and E^-1[i][j] the paths: the
+        # rows of E^-1 are the dim P_i, its columns the dim I_i.
+        nmat = tuple(tuple(-x * (i != j) for j, x in enumerate(row))
+                     for i, row in enumerate(self.euler_matrix))
+        npow = einv = mat_identity(n)
+        for _ in range(n - 1):
+            npow = mat_mul(npow, nmat)
+            einv = tuple(tuple(map(add, a, b)) for a, b in zip(einv, npow))
         proj = einv
         inj = mat_transpose(einv)
+        # The Coxeter matrix comes from the Cartan rows, E^-1 from the paths.
         for i in range(n):
             if proj[i] not in self.root_index or inj[i] not in self.root_index:
                 raise QuiverError("projective dimension vector is not a root")
             if mat_vec(phi, proj[i]) != vec_neg(inj[i]):
                 raise QuiverError("Coxeter matrix does not send dim P_i to -dim I_i")
 
-        self.euler_matrix = euler
-        self.coxeter_matrix = phi
-        self.coxeter_inverse = phi_inv
         self.proj_dims = proj
         self.inj_dims = inj
         self._proj_vertex = {self.root_index[proj[i]]: i for i in range(n)}
@@ -497,94 +508,29 @@ def build_root_system(q: QuiverDescriptor) -> RootSystemData:
 
 
 # ---------------------------------------------------------------------------
-# Forms, reflections and counting.
+# Perpendicular masks and counting.
 # ---------------------------------------------------------------------------
 
-def _check_length(rs: RootSystemData, v: DimVector) -> None:
-    if len(v) != rs.n:
-        raise ValueError(f"vector of length {len(v)} in a rank-{rs.n} system")
-
-
-def euler_form(rs: RootSystemData, d: DimVector, e: DimVector) -> int:
-    """The Euler form <d, e> = sum d_i e_i - sum over arrows i->j of d_i e_j.
-
-    >>> rs = build_root_system(QuiverDescriptor.standard("A", 2))
-    >>> euler_form(rs, (1, 0), (0, 1))
-    -1
-    """
-    _check_length(rs, d)
-    _check_length(rs, e)
-    if not rs.is_categorical():
-        raise QuiverError("the Euler form needs a simply-laced quiver")
-    total = sum(a * b for a, b in zip(d, e))
-    for i, j in rs.quiver.arrows:
-        total -= d[i - 1] * e[j - 1]
-    return total
-
-
-def sym_form(rs: RootSystemData, d: DimVector, e: DimVector) -> int:
-    """The symmetric form (d, e); equals <d,e> + <e,d> in the ADE case."""
-    _check_length(rs, d)
-    _check_length(rs, e)
-    return sum(
-        d[i] * rs.sym_matrix[i][j] * e[j] for i in range(rs.n) for j in range(rs.n)
-    )
-
-
 def perp_masks(rs: RootSystemData) -> tuple[int, ...]:
-    """Per root x, the bitmask of the roots y with <y, x> = y^T L x = 0, L
-    the symmetrizers plus the strictly upper part of sym_matrix.  For A, D,
-    E, L is the Euler matrix, <y, x> = dim Hom(M_y, M_x) - dim Ext^1(M_y,
-    M_x), and in Dynkin type the two are never both nonzero: the mask holds
-    the terms that may follow x in an exceptional sequence.  For B, C, F, G,
-    L is the Euler form of the species with Coxeter element s_1 ... s_n.
-    Computed on each call (E8 about 20 ms), not at construction.
+    """Per root x, the bitmask of the roots y with <y, x> = y^T E x = 0, E
+    = rs.euler_matrix.  For A, D, E, <y, x> = dim Hom(M_y, M_x) - dim
+    Ext^1(M_y, M_x), and in Dynkin type the two are never both nonzero: the
+    mask holds the terms that may follow x in an exceptional sequence.  For
+    B, C, F, G, E is the Euler form of the species with Coxeter element
+    s_1 ... s_n.  Computed on each call (E8 about 20 ms), not at
+    construction.
 
     >>> rs = build_root_system(QuiverDescriptor.standard("A", 2))
     >>> [bin(mask) for mask in perp_masks(rs)]
     ['0b10', '0b100', '0b1']
     """
-    n = rs.n
-    form = [[rs.symmetrizers[i] if i == j else rs.sym_matrix[i][j] * (i < j)
-             for j in range(n)] for i in range(n)]
     roots = rs.positive_roots
     masks = []
     for x in roots:
-        lx = mat_vec(form, x)
+        lx = mat_vec(rs.euler_matrix, x)
         masks.append(sum(1 << k for k, y in enumerate(roots)
                          if not sum(map(mul, y, lx))))
     return tuple(masks)
-
-
-def reflect(rs: RootSystemData, x: DimVector, v: DimVector) -> DimVector:
-    """The reflection t_x(v) = v - (2(v,x)/(x,x)) x along a non-isotropic x.
-
-    Integral whenever x is a root; a non-integral result is rejected.
-
-    >>> rs = build_root_system(QuiverDescriptor.standard("A", 2))
-    >>> reflect(rs, (1, 0), (0, 1))
-    (1, 1)
-    """
-    xx = sym_form(rs, x, x)
-    if xx == 0:
-        raise ValueError("cannot reflect along an isotropic vector")
-    coeff = Fraction(2 * sym_form(rs, v, x), xx)
-    out = []
-    for vi, xi in zip(v, x):
-        value = vi - coeff * xi
-        if value.denominator != 1:
-            raise ValueError(f"reflection along {x} is not integral; not a root")
-        out.append(int(value))
-    return tuple(out)
-
-
-def coxeter_transform(rs: RootSystemData, d: DimVector, inverse: bool = False) -> DimVector:
-    """Apply the Coxeter matrix (or its inverse) to a class in K_0."""
-    if not rs.is_categorical():
-        raise QuiverError("the Coxeter transformation needs a simply-laced quiver")
-    _check_length(rs, d)
-    mat = rs.coxeter_inverse if inverse else rs.coxeter_matrix
-    return mat_vec(mat, d)
 
 
 def fuss_catalan(rs: RootSystemData, m: int) -> int:

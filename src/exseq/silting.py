@@ -22,7 +22,7 @@ from .derived import (
 )
 from .roots import RootSystemData
 from .sequences import (
-    ExcSeq, MutationError, is_exceptional, mu_rev, mu_rev_inverse,
+    ExcSeq, MutationError, MutationSign, is_exceptional, mu_rev, mu_rev_inverse,
 )
 
 
@@ -366,11 +366,13 @@ def order_config(col: DCollection) -> ExcSeq:
 def silting_to_config(col: DCollection) -> DCollection:
     """The bijection from silting objects to Hom<=0-configurations: order,
     apply mu_rev, forget the order.  Uses only negative or orthogonal
-    mutations."""
+    mutations; MutationError if mu_rev uses a non-negative one."""
     reason = explain_not_silting(col)
     if reason is not None:
         raise ValueError(f"not a silting object: {reason}")
-    out, _signs = mu_rev(order_silting(col))
+    out, signs = mu_rev(order_silting(col))
+    if MutationSign.NONNEGATIVE in signs:
+        raise MutationError("mu_rev of a silting object used a non-negative mutation")
     result = collection(out)
     reason = explain_not_config(result)
     if reason is not None:
@@ -381,7 +383,7 @@ def silting_to_config(col: DCollection) -> DCollection:
 def config_to_silting(col: DCollection) -> DCollection:
     """The inverse bijection: order the configuration, apply the inverse
     composite, forget the order.  Uses only non-negative or orthogonal
-    mutations."""
+    mutations; MutationError if the inverse composite uses a negative one."""
     reason = explain_not_config(col)
     if reason is not None:
         raise ValueError(f"not a configuration: {reason}")
@@ -395,6 +397,9 @@ def config_to_silting(col: DCollection) -> DCollection:
 def _config_to_silting(col: DCollection) -> DCollection:
     """config_to_silting without its checks, for a collection already known
     to be a configuration.  A caller that also knows which silting object
-    the result must equal needs no check of the result either."""
-    out, _signs = mu_rev_inverse(order_config(col))
+    the result must equal needs no check of the result either.  The sign
+    check stays: it costs no mutation."""
+    out, signs = mu_rev_inverse(order_config(col))
+    if MutationSign.NEGATIVE in signs:
+        raise MutationError("inverse mu_rev of a configuration used a negative mutation")
     return collection(out)

@@ -44,22 +44,17 @@ def reflection_matrix(rs: RootSystemData, root: int) -> WeylElt:
                  for i, a in enumerate(rs.positive_roots[root]))
 
 
-def coxeter_element(rs: RootSystemData) -> WeylElt:
-    """The product s_1 ... s_n of the simple reflections in vertex order."""
-    return reduce(mat_mul, (reflection_matrix(rs, i) for i in range(rs.n)),
-                  mat_identity(rs.n))
-
-
 class WeylGroup:
     """The noncrossing interval [1, c] of a Weyl group, c = s_1 ... s_n: the
     fuss_catalan(rs, 1) elements below c in the absolute order, as wide
     masks.  u <= v exactly when the mask of u lies in that of v; `identity`
     is 0, `coxeter` the mask of every root, and the reflection along root x
-    is 1 << x.  The interval is found by descent from c: below u lie the
-    t_x.u for x in W(u), with W(t_x.u) = W(u) & perp[x] (roots.perp_masks),
-    as the terms after x in an exceptional sequence lie in its perpendicular
-    category.  A new mask gets its matrix by one rank-one update; the
-    matrices order `elements`, and so every listing.  For the A, D, E
+    is 1 << x.  The interval is found by descent from c, whose matrix is
+    rs.coxeter_matrix: below u lie the t_x.u for x in W(u), with W(t_x.u) =
+    W(u) & perp[x] (roots.perp_masks), as the terms after x in an
+    exceptional sequence lie in its perpendicular category.  A new mask
+    gets its matrix by one rank-one update; the matrices order `elements`,
+    and so every listing.  For the A, D, E
     families, phi reads the simples of each W(u) off the masks of the roots
     y != x with a nonzero map M_y -> M_x and dim M_y <= dim M_x, per root x.
     """
@@ -70,7 +65,7 @@ class WeylGroup:
         self.identity = 0
         self.coxeter = full = (1 << len(rs.positive_roots)) - 1
         coroots = [_coroot(rs, r) for r in range(len(rs.positive_roots))]
-        self._matrix = matrix = {full: coxeter_element(rs)}
+        self._matrix = matrix = {full: rs.coxeter_matrix}
         for mask, x, child in _descent(perp, full):
             # t_x.u = u - alpha (beta^T u) for t_x = id - alpha beta^T.
             u = matrix[mask]

@@ -6,7 +6,9 @@ the Serre-duality recursion it once used, the enumeration graph with the
 pairwise Ext predicates it once called, and its clique search with the
 plain depth-first search.  The perpendicular-mask search for complete
 exceptional sequences is compared with the search that tests each candidate
-against each term of its prefix.  The positive roots are compared with the
+against each term of its prefix.  The Coxeter element and its inverse are
+compared with products of reflection matrices, the Euler matrix with the
+arrow counts of the quiver.  The positive roots are compared with the
 closure of the simples under all simple reflections.  Reflection length
 comes from breadth-first search in the Cayley graph and from the fixed space
 of an element, the interval [1, c] and its wide masks from a descent that
@@ -38,16 +40,14 @@ from exseq.derived import (
 )
 from exseq.riedtmann import PeriodicConfig
 from exseq.roots import (
-    DimVector, IntMatrix, QuiverDescriptor, QuiverError, RootSystemData,
-    coxeter_transform, mat_vec,
+    DimVector, IntMatrix, QuiverDescriptor, QuiverError, RootSystemData, mat_vec,
 )
 from exseq.sequences import ExcSeq, MutationError, _bits, is_exceptional
 from exseq.silting import (
     DCollection, collection, is_hom_leq0_config, is_m_config, order_config,
 )
 from exseq.weyl import (
-    NCTuple, WeylElt, WeylGroup, coxeter_element, mat_identity, mat_mul,
-    reflection_matrix,
+    NCTuple, WeylElt, WeylGroup, mat_identity, mat_mul, reflection_matrix,
 )
 
 
@@ -206,7 +206,7 @@ def serre_hom_table(rs: RootSystemData) -> tuple[tuple[tuple[int, ...], ...], ..
     most h steps.  tau is read off the Coxeter matrix."""
     roots = rs.positive_roots
     vertex = {rs.root_of(p): i for i, p in enumerate(rs.proj_dims)}
-    tau = [None if r in vertex else rs.root_of(coxeter_transform(rs, d))
+    tau = [None if r in vertex else rs.root_of(mat_vec(rs.coxeter_matrix, d))
            for r, d in enumerate(roots)]
 
     @cache
@@ -252,6 +252,28 @@ def lex_cliques(count: int, neighbours: list[int], k: int) -> list[tuple[int, ..
 
     grow((), (1 << count) - 1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The Coxeter element and the Euler matrix, built the long way.
+# ---------------------------------------------------------------------------
+
+def coxeter_element(rs: RootSystemData, inverse: bool = False) -> WeylElt:
+    """s_1 ... s_n, or s_n ... s_1 when inverse, as a product of the
+    reflection matrices of the simple roots."""
+    order = range(rs.n - 1, -1, -1) if inverse else range(rs.n)
+    return reduce(mat_mul, (reflection_matrix(rs, i) for i in order),
+                  mat_identity(rs.n))
+
+
+def arrow_euler_matrix(rs: RootSystemData) -> IntMatrix:
+    """The Euler matrix of a quiver from its arrows: <d, e> = sum d_i e_i
+    minus the sum over arrows i -> j of d_i e_j."""
+    n = rs.n
+    mult = [[0] * n for _ in range(n)]
+    for i, j in rs.quiver.arrows:
+        mult[i - 1][j - 1] += 1
+    return tuple(tuple((i == j) - mult[i][j] for j in range(n)) for i in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,18 @@ PUBLIC_NAMES = [
     'NCTuple', 'PeriodicConfig', 'QuiverDescriptor', 'QuiverError',
     'RootSystemData', 'WeylGroup', 'WindowSpec',
     'build_root_system', 'class_of', 'collection', 'config_to_riedtmann',
-    'config_to_silting', 'coxeter_element', 'coxeter_transform', 'derived',
-    'enumerate_complete_sequences', 'enumerate_configs', 'enumerate_kind',
-    'enumerate_m_nc', 'enumerate_silting', 'euler_form', 'ext_dim',
-    'ext_projectives', 'f_power', 'f_translate', 'f_translate_inv',
-    'fuss_catalan', 'generate_weyl', 'hom_dim', 'inj',
-    'is_combinatorial_configuration', 'is_exceptional', 'is_hom_leq0_config',
-    'is_injective', 'is_m_cluster_tilting', 'is_m_config', 'is_projective',
-    'is_silting', 'make_periodic', 'mu_rev', 'mu_rev_inverse', 'mutate', 'nu',
-    'nu_inv', 'obj', 'object_of_class', 'order_config', 'order_silting',
-    'phi', 'phi_inverse', 'proj', 'reflect', 'reflection_matrix', 'riedtmann',
-    'riedtmann_to_config', 'roots', 'rotate', 'sequences', 'shift', 'silting',
-    'silting_to_config', 'simple', 'sym_form', 'tau', 'tau_inv',
-    'torsion_window', 'weyl', 'window_objects',
+    'config_to_silting', 'derived', 'enumerate_complete_sequences',
+    'enumerate_configs', 'enumerate_kind', 'enumerate_m_nc',
+    'enumerate_silting', 'ext_dim', 'ext_projectives', 'f_power',
+    'f_translate', 'f_translate_inv', 'fuss_catalan', 'generate_weyl',
+    'hom_dim', 'inj', 'is_combinatorial_configuration', 'is_exceptional',
+    'is_hom_leq0_config', 'is_injective', 'is_m_cluster_tilting',
+    'is_m_config', 'is_projective', 'is_silting', 'make_periodic', 'mu_rev',
+    'mu_rev_inverse', 'mutate', 'nu', 'nu_inv', 'obj', 'object_of_class',
+    'order_config', 'order_silting', 'phi', 'phi_inverse', 'proj',
+    'reflection_matrix', 'riedtmann', 'riedtmann_to_config', 'roots', 'rotate',
+    'sequences', 'shift', 'silting', 'silting_to_config', 'simple', 'tau',
+    'tau_inv', 'torsion_window', 'weyl', 'window_objects',
 ]
 
 SIGNATURES = {
@@ -43,10 +42,6 @@ SIGNATURES = {
     'collection': "(objs: 'Iterable[DObj]') -> 'DCollection'",
     'config_to_riedtmann': "(col: 'DCollection') -> 'PeriodicConfig'",
     'config_to_silting': "(col: 'DCollection') -> 'DCollection'",
-    'coxeter_element': "(rs: 'RootSystemData') -> 'WeylElt'",
-    'coxeter_transform':
-        "(rs: 'RootSystemData', d: 'DimVector', "
-        "inverse: 'bool' = False) -> 'DimVector'",
     'enumerate_complete_sequences': "(rs: 'RootSystemData') -> 'list[ExcSeq]'",
     'enumerate_configs':
         "(rs: 'RootSystemData', w: 'WindowSpec') -> 'list[DCollection]'",
@@ -55,8 +50,6 @@ SIGNATURES = {
     'enumerate_m_nc': "(group: 'WeylGroup', m: 'int') -> 'list[NCTuple]'",
     'enumerate_silting':
         "(rs: 'RootSystemData', w: 'WindowSpec') -> 'list[DCollection]'",
-    'euler_form':
-        "(rs: 'RootSystemData', d: 'DimVector', e: 'DimVector') -> 'int'",
     'ext_dim': "(x: 'DObj', y: 'DObj', i: 'int') -> 'int'",
     'ext_projectives':
         "(a_window: 'frozenset[DObj]', w: 'WindowSpec') -> 'frozenset[DObj]'",
@@ -99,9 +92,6 @@ SIGNATURES = {
         "(group: 'WeylGroup', col: 'DCollection', m: 'int') -> 'NCTuple'",
     'proj':
         "(rs: 'RootSystemData', vertex: 'int', degree: 'int' = 0) -> 'DObj'",
-    'reflect':
-        "(rs: 'RootSystemData', x: 'DimVector', "
-        "v: 'DimVector') -> 'DimVector'",
     'reflection_matrix': "(rs: 'RootSystemData', root: 'int') -> 'WeylElt'",
     'riedtmann_to_config': "(p: 'PeriodicConfig') -> 'DCollection'",
     'rotate': "(seq: 'ExcSeq') -> 'ExcSeq'",
@@ -109,8 +99,6 @@ SIGNATURES = {
     'silting_to_config': "(col: 'DCollection') -> 'DCollection'",
     'simple':
         "(rs: 'RootSystemData', vertex: 'int', degree: 'int' = 0) -> 'DObj'",
-    'sym_form':
-        "(rs: 'RootSystemData', d: 'DimVector', e: 'DimVector') -> 'int'",
     'tau': "(x: 'DObj') -> 'DObj'",
     'tau_inv': "(x: 'DObj') -> 'DObj'",
     'torsion_window':

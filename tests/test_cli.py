@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import exseq
 from exseq import (
-    MutationError, QuiverDescriptor, build_root_system, enumerate_complete_sequences,
-    enumerate_kind, enumerate_m_nc, fuss_catalan, generate_weyl,
+    MutationError, MutationSign, QuiverDescriptor, build_root_system,
+    config_to_silting, enumerate_complete_sequences, enumerate_kind, enumerate_m_nc,
+    fuss_catalan, generate_weyl, silting_to_config,
 )
 from exseq import cli, riedtmann, silting
 from exseq.cli import _objects_chunks, main
@@ -510,12 +511,12 @@ GOLDEN_OUTPUTS = [
     (("nc", "--type", "B2", "--m", "2"),
      "c0433686ef7c9af26569374918bb27194655167a0abc5cc3ea3ece1769209e63"),
     (("verify", "--type", "A4", "--m", "1"),
-     "220abdffd36999d3ccd814ebdaa5e5089a577a582a9669ccb580236fe70f22d6"),
+     "9e7a08da8393f6421c4c638e956264709c1973066525fc5e887ccd8fa7e09031"),
     (("verify", "--type", "D4", "--m", "2"),
-     "ce0f30a006f30a0d14525fadf495ca336f409d803bf776fe0736fd4023d39d6e"),
+     "4ba4d911d8c2ac3c54eef0219ec2b79a00c0ce5a195c2cd3b05ccd67b3a6e627"),
     (("verify", "--type", "D5", "--m", "1",
       "--orientation", "[[1,5],[2,3],[3,4],[3,5]]"),
-     "bdf9f5ca40977a3134e9223480251776dc4664e48a78910f42bd4f179c05ab80"),
+     "d9428cd90b8af7a3d787c6000935219f84d1c8f4744ade3b7944a93d634e36e3"),
     (("riedtmann", "--type", "D4", "--verify"),
      "db205e5b2d1920adf4349ecd33d6471c24f233ec9f5c4c8cdaebaaa2884e19e9"),
 ]
@@ -626,10 +627,56 @@ def test_verify_silting_round_trip_reports_kth_object(capsys, monkeypatch, k):
     assert forward.calls == len(A3_TILTING)
 
 
+def flip_at(k, wrong):
+    """A fault for mu_rev or mu_rev_inverse: the k-th call reports its first
+    sign as `wrong`, the sign its lemma forbids."""
+    def fault(call, out):
+        seq, signs = out
+        return (seq, (wrong,) + signs[1:]) if call == k else out
+    return fault
+
+
+# The sign lemmas, as the bijections check them: the composite each runs in
+# silting, the sign it may not use, and whether it is the forward map.
+SIGN_LEMMAS = [("mu_rev", MutationSign.NONNEGATIVE, True),
+               ("mu_rev_inverse", MutationSign.NEGATIVE, False)]
+
+
+@pytest.mark.parametrize("name,wrong,forward", SIGN_LEMMAS,
+                         ids=["forward", "inverse"])
+def test_bijections_check_their_sign_lemma(monkeypatch, name, wrong, forward):
+    tilting = A3_TILTING[0]
+    config = silting_to_config(tilting)
+    bijection, x, y = ((silting_to_config, tilting, config) if forward
+                       else (config_to_silting, config, tilting))
+    CallLog(monkeypatch, name, flip_at(0, wrong), module=silting)
+    with pytest.raises(MutationError, match="mutation"):
+        bijection(x)
+    assert bijection(x) == y        # the next call reports its true signs
+
+
+@pytest.mark.parametrize("k", [0, 5, 13])
+@pytest.mark.parametrize("name,wrong,forward", SIGN_LEMMAS,
+                         ids=["forward", "inverse"])
+def test_verify_reports_a_sign_lemma_violation(capsys, monkeypatch, name, wrong,
+                                               forward, k):
+    # verify calls each composite once per m-cluster-tilting object, and a
+    # violation fails the round trip at that object; a forward one also
+    # leaves that object without an image.
+    CallLog(monkeypatch, name, flip_at(k, wrong), module=silting)
+    code, checks = verify_a3(capsys)
+    assert code == 1
+    also = ["silting image is the m-config set"] if forward else []
+    failed_only(checks, "silting/config round trip", *also)
+    assert (checks["silting/config round trip"]["counterexample"]
+            == collection_to_list(A3_TILTING[k]))
+
+
 # A fault injected into the third call of each function, the check it must
 # fail, any other check that fails with it, and the input of that call.
 # verify calls the unchecked private inverses; a case is named after the
-# bijection.
+# bijection.  Each function is wrapped in cli, except those of
+# INJECTED_MODULE: order_silting runs inside silting_to_config.
 INJECTED = [
     ("phi", "phi round trip", ["phi image is the m-config set"],
      nc_to_dict(A3_GROUP, A3_NCS[2])),
@@ -638,12 +685,15 @@ INJECTED = [
      ["silting image is the m-config set"], collection_to_list(A3_TILTING[2])),
     ("_config_to_silting", "silting/config round trip", [],
      collection_to_list(A3_TILTING[2])),
-    ("order_silting", "silting-to-config signs negative or orthogonal", [],
-     collection_to_list(A3_TILTING[2])),
+    ("order_silting", "silting/config round trip",
+     ["silting image is the m-config set"], collection_to_list(A3_TILTING[2])),
     # mu_rev runs twice per sequence: the third call is the second sequence's.
     ("mu_rev", "mu_rev^2 = nu^{-1} and inverse law", [],
      [obj_to_dict(x) for x in A3_SEQUENCES[1]]),
 ]
+
+
+INJECTED_MODULE = {"order_silting": silting}
 
 
 @pytest.mark.parametrize("exc", [MutationError, ValueError])
@@ -651,7 +701,7 @@ INJECTED = [
                          ids=[row[0].lstrip("_") for row in INJECTED])
 def test_verify_internal_error_is_a_failed_check(capsys, monkeypatch, exc,
                                                  name, check, also, counterexample):
-    CallLog(monkeypatch, name, raise_at(2, exc))
+    CallLog(monkeypatch, name, raise_at(2, exc), module=INJECTED_MODULE.get(name, cli))
     code, checks = verify_a3(capsys)
     assert code == 1
     failed_only(checks, check, *also)

@@ -8,10 +8,11 @@ import pytest
 from exseq import (
     DObj, MutationSign, QuiverDescriptor, build_root_system, class_of,
     enumerate_complete_sequences, ext_dim, fuss_catalan, generate_weyl,
-    is_exceptional, mu_rev, mu_rev_inverse, mutate, nu_inv, proj, reflect,
-    rotate, shift, simple,
+    is_exceptional, mu_rev, mu_rev_inverse, mutate, nu_inv, proj,
+    reflection_matrix, rotate, shift, simple,
 )
 from exseq import sequences
+from exseq.roots import mat_vec
 from exseq.sequences import (
     _all_roots, _complete_sequences, _sample_complete_sequences, _sequence_counts,
     mu_rev_order,
@@ -95,7 +96,7 @@ def test_k0_reflection_identity(a3):
         for i in (1, 2):
             a, b = seq[i - 1], seq[i]
             new, _ = mutate(seq, i, "right")
-            assert class_of(new[i]) == reflect(a3, class_of(b), class_of(a))
+            assert class_of(new[i]) == mat_vec(reflection_matrix(a3, b.root), class_of(a))
 
 
 def test_mutation_keeps_other_positions(a3):

@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 
 from exseq import (
-    DObj, QuiverDescriptor, collection, coxeter_element, enumerate_complete_sequences,
+    DObj, QuiverDescriptor, collection, enumerate_complete_sequences,
     enumerate_kind, enumerate_m_nc, fuss_catalan, generate_weyl, is_exceptional,
     mutate, phi, phi_inverse, proj, reflection_matrix, shift, simple,
 )
@@ -13,8 +13,8 @@ from exseq.sequences import _words
 from exseq.weyl import mat_identity, mat_mul, nc_from_words, nc_to_dict, nc_words
 
 from oracle import (
-    abs_length, admissible_quivers, cayley_abs_lengths, enumerate_m_nc_scan,
-    fixed_space_interval, phi_inverse_matrix, seeded_quiver,
+    abs_length, admissible_quivers, cayley_abs_lengths, coxeter_element,
+    enumerate_m_nc_scan, fixed_space_interval, phi_inverse_matrix, seeded_quiver,
     sequence_reflection_product, simples_of_wide, wide_subcategory,
 )
 
@@ -33,7 +33,7 @@ def _masks_by_matrix(group):
 
 def test_coxeter_element_order(a2, a3, d4, b2):
     for rs in (a2, a3, d4, b2):
-        c = coxeter_element(rs)
+        c = rs.coxeter_matrix
         power = c
         for _ in range(rs.coxeter_number - 1):
             assert power != mat_identity(rs.n)
@@ -41,10 +41,14 @@ def test_coxeter_element_order(a2, a3, d4, b2):
         assert power == mat_identity(rs.n)
 
 
-def test_coxeter_element_matches_coxeter_matrix(a2, a3, d4):
-    # The product s_1...s_n acts on K_0 exactly as the Coxeter transformation.
-    for rs in (a2, a3, d4):
-        assert coxeter_element(rs) == rs.coxeter_matrix
+def test_coxeter_element_matches_coxeter_matrix(a2, a3, d4, b2):
+    # The product s_1...s_n acts on K_0 exactly as the Coxeter transformation
+    # -E^-1 E^T, E the Euler matrix: E c = -E^T.
+    for rs in (a2, a3, d4, b2):
+        c = coxeter_element(rs)
+        assert c == rs.coxeter_matrix
+        assert mat_mul(rs.euler_matrix, c) == tuple(
+            tuple(-x for x in column) for column in zip(*rs.euler_matrix))
 
 
 def test_abs_length_values(a2, a3, d4, b2):
@@ -277,7 +281,7 @@ def test_reflection_of_object(a2):
 
 def test_sequence_products_give_coxeter(a2, a3):
     for rs in (a2, a3):
-        c = coxeter_element(rs)
+        c = rs.coxeter_matrix
         for seq in enumerate_complete_sequences(rs):
             assert sequence_reflection_product(seq) == c
 
