@@ -95,7 +95,10 @@ class QuiverDescriptor:
     arrows: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "arrows", tuple(tuple(a) for a in self.arrows))
+        try:
+            object.__setattr__(self, "arrows", tuple(map(tuple, self.arrows)))
+        except TypeError:
+            raise QuiverError("every arrow must be a pair of integers") from None
         _validate_quiver(self)
 
     @staticmethod
@@ -109,62 +112,10 @@ class QuiverDescriptor:
         elif family == "D":
             arrows = [(i, i + 1) for i in range(1, rank - 1)] + [(rank - 2, rank)]
         elif family == "E":
-            arrows = [(i, i + 1) for i in range(1, rank)] + [(3, rank)]
-            arrows.remove((rank - 1, rank))
+            arrows = [(i, i + 1) for i in range(1, rank - 1)] + [(3, rank)]
         else:
             raise QuiverError(f"unknown family {family!r}")
         return QuiverDescriptor(family, rank, tuple(arrows))
-
-
-def _tree_shape(n: int, edges: list[tuple[int, int]]) -> tuple[str, int] | None:
-    """Classify an undirected simple graph as a Dynkin diagram, or None."""
-    if len(edges) != n - 1:
-        return None
-    adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    for i, j in edges:
-        if i == j or j in adj[i]:
-            return None
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = {1}
-    stack = [1]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n:
-        return None
-    branch = [v for v in adj if len(adj[v]) == 3]
-    if any(len(adj[v]) > 3 for v in adj) or len(branch) > 1:
-        return None
-    if not branch:
-        return ("A", n)
-    comps = sorted(_component_sizes(adj, branch[0]))
-    if comps[0] == 1 and comps[1] == 1:
-        return ("D", n)
-    if comps[:2] == [1, 2] and comps[2] in (2, 3, 4):
-        return ("E", n)
-    return None
-
-
-def _component_sizes(adj: dict[int, set[int]], removed: int) -> list[int]:
-    sizes = []
-    seen = {removed}
-    for start in adj[removed]:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen and w != removed:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        sizes.append(len(comp))
-    return sizes
 
 
 def _validate_quiver(q: QuiverDescriptor) -> None:
@@ -187,6 +138,8 @@ def _validate_quiver(q: QuiverDescriptor) -> None:
                 "categorical operations require a simply-laced quiver"
             )
         return
+    if not all(len(a) == 2 and all(type(v) is int for v in a) for a in q.arrows):
+        raise QuiverError("every arrow must be a pair of integers")
     for i, j in q.arrows:
         if not (1 <= i <= n and 1 <= j <= n):
             raise QuiverError(f"arrow ({i},{j}) leaves the vertex range 1..{n}")
@@ -194,11 +147,44 @@ def _validate_quiver(q: QuiverDescriptor) -> None:
             raise QuiverError(
                 f"arrow ({i},{j}) violates the topological numbering i < j"
             )
-    shape = _tree_shape(n, list(q.arrows))
-    if shape != (fam, n):
+    # Sylvester: the Cartan matrix is positive definite exactly when every
+    # leading minor is positive; the last one computed is then the
+    # determinant, and otherwise not positive.  A doubled arrow or a
+    # shortest cycle (it has no chord) spans a principal block that is not
+    # positive definite, so with n - 1 arrows a positive-definite quiver is
+    # a tree: of type A, D or E, with determinant n + 1, 4 or 9 - n.  Those
+    # differ at every rank the rules above allow; D3 shares A3's, E5 D5's.
+    if (len(q.arrows) != n - 1 or _leading_minors(_arrow_cartan(n, q.arrows))[-1]
+            != {"A": n + 1, "D": 4, "E": 9 - n}[fam]):
         raise QuiverError(
             f"underlying graph of the arrows is not the {fam}{n} Dynkin diagram"
         )
+
+
+def _arrow_cartan(n: int, arrows) -> IntMatrix:
+    """2 on the diagonal; off it, minus the number of arrows between i and j."""
+    cartan = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in arrows:
+        cartan[i - 1][j - 1] -= 1
+        cartan[j - 1][i - 1] -= 1
+    return tuple(map(tuple, cartan))
+
+
+def _leading_minors(m: IntMatrix) -> list[int]:
+    """The leading principal minors of m, from the empty one, 1, up to the
+    first that is not positive, by fraction-free (Bareiss) elimination of
+    the trailing block, row-major in a flat list of width w: its corner is
+    the next minor, and dividing by the minor before is exact."""
+    w, block, minors = len(m), [x for row in m for x in row], [1]
+    while w:
+        pivot = block[0]
+        minors.append(pivot)
+        if pivot <= 0:
+            break
+        block = [(block[i + j] * pivot - block[i] * block[j]) // minors[-2]
+                 for i in range(w, w * w, w) for j in range(1, w)]
+        w -= 1
+    return minors
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +264,7 @@ class RootSystemData:
         n = self.n
 
         if self.family in CATEGORICAL_FAMILIES:
-            cartan = [[2 * (i == j) for j in range(n)] for i in range(n)]
-            for i, j in quiver.arrows:
-                cartan[i - 1][j - 1] -= 1
-                cartan[j - 1][i - 1] -= 1
-            self.cartan_matrix: IntMatrix = tuple(tuple(r) for r in cartan)
+            self.cartan_matrix: IntMatrix = _arrow_cartan(n, quiver.arrows)
             self.symmetrizers: tuple[int, ...] = (1,) * n
         else:
             self.cartan_matrix, self.symmetrizers = _weyl_only_cartan(self.family, n)
@@ -383,8 +365,6 @@ class RootSystemData:
     def _build_categorical(self) -> None:
         n = self.n
         phi, phi_inv = self.coxeter_matrix, self.coxeter_inverse
-        if mat_mul(phi, phi_inv) != mat_identity(n):
-            raise QuiverError("Coxeter matrix inversion failed")
         # E = I - N with N strictly upper triangular, so E^-1 = sum N^k
         # exactly.  N counts the arrows i -> j, and E^-1[i][j] the paths: the
         # rows of E^-1 are the dim P_i, its columns the dim I_i.

@@ -24,14 +24,15 @@ checking that the joint image of all homomorphisms covers the target
 loops over F-powers f_power(x, k), |k| up to a degree reach, against which
 the library's orbit walk is compared; they decide window membership object
 by object, not from the library's window masks.  It also lists every admissible
-numbering of a Dynkin diagram, the input of the orientation sweeps.
+numbering of a Dynkin diagram, the input of the orientation sweeps, as the
+relabellings of the diagram, with no call to the library's quiver check.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import and_
 from typing import Iterable
 
@@ -40,7 +41,7 @@ from exseq.derived import (
 )
 from exseq.riedtmann import PeriodicConfig
 from exseq.roots import (
-    DimVector, IntMatrix, QuiverDescriptor, QuiverError, RootSystemData, mat_vec,
+    DimVector, IntMatrix, QuiverDescriptor, RootSystemData, mat_vec,
 )
 from exseq.sequences import ExcSeq, MutationError, _bits, is_exceptional
 from exseq.silting import (
@@ -717,15 +718,26 @@ def riedtmann_to_config(p: PeriodicConfig) -> DCollection:
 # Orientations.
 # ---------------------------------------------------------------------------
 
+def orientations(family: str, rank: int) -> list[tuple[tuple[int, int], ...]]:
+    """The arrow sets of every relabelling of the Dynkin diagram, each arrow
+    from the smaller to the larger vertex, each set sorted, in lexicographic
+    order.  The diagram is the path 1 - ... - (rank - 1) with vertex rank
+    joined to rank - 1 (A), rank - 2 (D) or 3 (E); no quiver check is used."""
+    fork = {"A": rank - 1, "D": rank - 2, "E": 3}[family]
+    edges = [(i, i + 1) for i in range(1, rank - 1)]
+    edges += [(fork, rank)] if rank > 1 else []
+    found = set()
+    for label in permutations(range(1, rank + 1)):
+        arrows = (tuple(sorted((label[a - 1], label[b - 1]))) for a, b in edges)
+        found.add(tuple(sorted(arrows)))
+    return sorted(found)
+
+
 def admissible_quivers(family: str, rank: int):
     """Every numbering of the Dynkin diagram with arrows from smaller to
     larger vertex."""
-    pairs = list(combinations(range(1, rank + 1), 2))
-    for arrows in combinations(pairs, rank - 1):
-        try:
-            yield QuiverDescriptor(family, rank, arrows)
-        except QuiverError:
-            pass
+    for arrows in orientations(family, rank):
+        yield QuiverDescriptor(family, rank, arrows)
 
 
 def seeded_quiver(family: str, rank: int, seed: int) -> QuiverDescriptor:

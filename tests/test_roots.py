@@ -1,6 +1,8 @@
 """Root-system foundation: forms, reflections, exponents, counting."""
 import doctest
+import random
 from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,11 +12,12 @@ from exseq import (
     QuiverDescriptor, QuiverError, build_root_system, fuss_catalan,
     reflection_matrix,
 )
-from exseq.roots import mat_vec, perp_masks
+from exseq.roots import mat_identity, mat_mul, mat_vec, perp_masks
 
 from oracle import (
     admissible_quivers, arrow_euler_matrix, close_roots_pm, coxeter_element,
-    hom_perp_masks, hom_right_perp_masks, seeded_quiver, serre_hom_table,
+    hom_perp_masks, hom_right_perp_masks, orientations, seeded_quiver,
+    serre_hom_table,
 )
 
 
@@ -59,8 +62,8 @@ def test_positive_roots_match_full_closure(family, rank):
 
 def test_coxeter_and_euler_matrices_match_references():
     # c = s_1 ... s_n and c^-1 = s_n ... s_1 against products of reflection
-    # matrices; the Euler matrix against the arrow counts, or for a species
-    # against its defining shape.
+    # matrices, and c c^-1 against the identity; the Euler matrix against
+    # the arrow counts, or for a species against its defining shape.
     quivers = [q for family, ranks in (("A", range(1, 6)), ("D", (4, 5)))
                for rank in ranks for q in admissible_quivers(family, rank)]
     quivers += [seeded_quiver("E", rank, seed)
@@ -73,6 +76,7 @@ def test_coxeter_and_euler_matrices_match_references():
         rs = build_root_system(q)
         assert rs.coxeter_matrix == coxeter_element(rs), q
         assert rs.coxeter_inverse == coxeter_element(rs, inverse=True), q
+        assert mat_mul(rs.coxeter_matrix, rs.coxeter_inverse) == mat_identity(rs.n), q
         euler, n = rs.euler_matrix, rs.n
         if rs.is_categorical():
             assert euler == arrow_euler_matrix(rs), q
@@ -108,10 +112,53 @@ def test_exponent_table(family, rank, h, exps):
     {"family": "E", "rank": 9, "arrows": ()},
     {"family": "B", "rank": 2, "arrows": ((1, 2),)},            # weyl-only family
     {"family": "H", "rank": 3, "arrows": ()},
+    {"family": "A", "rank": 3, "arrows": ((1, 2), (2, 3), (1, 3))},  # 3-cycle
+    {"family": "A", "rank": 5, "arrows": ((1, 2), (2, 3), (3, 4), (3, 5))},  # D5
+    {"family": "D", "rank": 6,
+     "arrows": ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6))},       # E6
+    {"family": "A", "rank": 8,                                  # E6 + A2, det 9
+     "arrows": ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (7, 8))},
+    {"family": "A", "rank": 2, "arrows": ((1.0, 2),)},          # arrow forms
+    {"family": "A", "rank": 2, "arrows": ((True, 2),)},
+    {"family": "A", "rank": 2, "arrows": ((1, 2, 3),)},
+    {"family": "A", "rank": 2, "arrows": (("1", 2),)},
+    {"family": "A", "rank": 2, "arrows": (12,)},
 ])
 def test_malformed_quivers_rejected(bad):
     with pytest.raises(QuiverError):
         QuiverDescriptor(bad["family"], bad["rank"], bad["arrows"])
+
+
+def _accepts(family, rank, arrows) -> bool:
+    try:
+        QuiverDescriptor(family, rank, arrows)
+    except QuiverError:
+        return False
+    return True
+
+
+def test_quiver_check_matches_relabelling_oracle():
+    # A quiver is accepted exactly when its arrows relabel the diagram.
+    # Every arrow set of n - 2, n - 1 or n arrows up to n = 6; at n = 7 and
+    # 8 seeded arrow multisets, repeats included, and some relabellings.
+    rng = random.Random(24)
+    for n in range(1, 9):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for family, low in (("A", 1), ("D", 4), ("E", 6)):
+            if n < low:
+                continue
+            admissible = set(orientations(family, n))
+            if n <= 6:
+                cases = [arrows for k in range(max(n - 2, 0), n + 1)
+                         for arrows in combinations(pairs, k)]
+            else:
+                cases = [tuple(sorted(rng.choice(pairs)
+                                      for _ in range(rng.randint(n - 2, n))))
+                         for _ in range(2000)]
+                cases += rng.sample(sorted(admissible), 200)
+            for arrows in cases:
+                assert _accepts(family, n, arrows) == (arrows in admissible), (
+                    family, n, arrows)
 
 
 def form(matrix, d, e):

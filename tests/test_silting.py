@@ -265,6 +265,18 @@ def test_sign_lemmas_a3(a3):
                 assert sign in (MutationSign.NONNEGATIVE, MutationSign.ORTHOGONAL)
 
 
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from("AD"), seed=st.integers(0, 10**6),
+       m=st.sampled_from((1, 2)), data=st.data())
+def test_sign_lemmas_on_random_orientations(family, seed, m, data):
+    # Each direction checks its own sign lemma as a postcondition and raises
+    # MutationError on a violation, so a round trip runs both.
+    rs = build_root_system(seeded_quiver(family, 5, seed))
+    tilting = enumerate_kind(rs, "m-cluster-tilting", m)
+    for x in data.draw(st.lists(st.sampled_from(tilting), min_size=1, max_size=4)):
+        assert config_to_silting(silting_to_config(x)) == x
+
+
 def test_collection_json_round_trip(a2):
     col = collection([proj(a2, 1, 1), simple(a2, 1)])
     data = collection_to_list(col)
