@@ -105,23 +105,29 @@ class QuiverDescriptor:
     def standard(family: str, rank: int) -> "QuiverDescriptor":
         """The standard orientation: a linearly oriented path, with branch
         arrows out of the fork vertex for types D and E."""
+        _check_fields(family, rank)
         if family in WEYL_ONLY_FAMILIES:
             return QuiverDescriptor(family, rank)
         if family == "A":
             arrows = [(i, i + 1) for i in range(1, rank)]
         elif family == "D":
             arrows = [(i, i + 1) for i in range(1, rank - 1)] + [(rank - 2, rank)]
-        elif family == "E":
+        else:   # E
             arrows = [(i, i + 1) for i in range(1, rank - 1)] + [(3, rank)]
-        else:
-            raise QuiverError(f"unknown family {family!r}")
         return QuiverDescriptor(family, rank, tuple(arrows))
+
+
+def _check_fields(fam, n) -> None:
+    """The family must be a str naming a known family, the rank an int."""
+    if not isinstance(fam, str) or fam not in CATEGORICAL_FAMILIES | WEYL_ONLY_FAMILIES:
+        raise QuiverError(f"unknown family {fam!r}; expected one of A,B,C,D,E,F,G")
+    if type(n) is not int:      # no bool or float
+        raise QuiverError(f"rank must be an int, not {n!r}")
 
 
 def _validate_quiver(q: QuiverDescriptor) -> None:
     fam, n = q.family, q.rank
-    if fam not in CATEGORICAL_FAMILIES | WEYL_ONLY_FAMILIES:
-        raise QuiverError(f"unknown family {fam!r}; expected one of A,B,C,D,E,F,G")
+    _check_fields(fam, n)
     if n < 1:
         raise QuiverError("rank must be positive")
     if fam == "E":
@@ -241,16 +247,17 @@ class RootSystemData:
     E that is the Euler form of the quiver, I minus the arrow counts; for B,
     C, F, G that of the species.  Beside them sit the Coxeter element
     `coxeter_matrix` = s_1 ... s_n in vertex order, the Coxeter
-    transformation on K_0, and `coxeter_inverse` = s_n ... s_1.
+    transformation on K_0, `coxeter_inverse` = s_n ... s_1, and `pairing`,
+    the Euler form on the positive roots: pairing[x][y] = <x, y> = x^T E y.
 
-    For the A, D, E families construction also fills `hom_table`, by a
-    recurrence along the tau-orbits of the projectives: entry
-    hom_table[gap][rx][ry] is dim Hom(M_rx[0], M_ry[gap]) for gap 0 and 1,
-    the only degree gaps at which two stalk complexes can interact.  Beside
-    it sit `hom_masks`, the nonzero patterns of its rows and columns as
-    bitmasks over the roots, and `f_table`/`f_inv_table`, the
-    autoequivalence F = [-2]tau^{-1} and its inverse on (root, degree),
-    the one table of tau as well (tau = F^{-1}[-2]).
+    For the A, D, E families construction also fills `hom_table`, the sign
+    split of `pairing`: entry hom_table[gap][rx][ry] is dim Hom(M_rx[0],
+    M_ry[gap]) for gap 0 and 1, the only degree gaps at which two stalk
+    complexes can interact.  Beside it sit `hom_masks`, the nonzero
+    patterns of its rows and columns as bitmasks over the roots, and
+    `f_table`/`f_inv_table`, the autoequivalence F = [-2]tau^{-1} and its
+    inverse on (root, degree), the one table of tau as well (tau =
+    F^{-1}[-2]).
 
     Positive roots are ordered with the simple roots first (in vertex order)
     and the rest by (height, coordinates); this order is the deterministic
@@ -299,6 +306,7 @@ class RootSystemData:
             raise QuiverError("positive-root count is not n*h/2 for any integer h")
         self.coxeter_number: int = two_count // n
         self.exponents: tuple[int, ...] = self._exponents()
+        self.pairing: IntMatrix = self._pairing()
 
         # Categorical (ADE) layer: the projective/injective dimension vectors
         # and the tables built on them.
@@ -362,6 +370,21 @@ class RootSystemData:
             raise QuiverError("exponents are not symmetric about h/2")
         return tuple(exps)
 
+    def _pairing(self) -> IntMatrix:
+        """P[x][y] = <x, y> = x^T E y over the positive roots, E =
+        euler_matrix.  Row x is linear in x: the row of the simple e_i holds
+        coordinate i of each E y, and every other positive root r has an i
+        with r - e_i a positive root, so its row is theirs added."""
+        n, roots = self.n, self.positive_roots
+        rows = [tuple(sum(map(mul, e, y)) for y in roots) for e in self.euler_matrix]
+        for r in roots[n:]:
+            for i in range(n):
+                below = self.root_index.get(r[:i] + (r[i] - 1,) + r[i + 1:])
+                if below is not None:
+                    break
+            rows.append(tuple(map(add, rows[below], rows[i])))
+        return tuple(rows)
+
     def _build_categorical(self) -> None:
         n = self.n
         phi, phi_inv = self.coxeter_matrix, self.coxeter_inverse
@@ -405,7 +428,12 @@ class RootSystemData:
                 if image not in self.root_index:
                     raise QuiverError("inverse Coxeter transform left the roots")
                 tau_inv_img.append(self.root_index[image])
-        self.hom_table = h0, h1 = self._hom_table(tau_img, tau_inv_img)
+        # The modules are representation-directed: Hom and Ext^1 between
+        # two indecomposables are never both nonzero, so <x, y>, which is
+        # dim Hom(M_x, M_y) - dim Ext^1(M_x, M_y), gives each by its sign.
+        h0 = tuple(tuple([v if v > 0 else 0 for v in row]) for row in self.pairing)
+        h1 = tuple(tuple([-v if v < 0 else 0 for v in row]) for row in self.pairing)
+        self.hom_table = h0, h1
         self.hom_masks = tuple(map(_row_masks, (h0, h1, zip(*h0), zip(*h1))))
         # F(M_r[d]) is M_{tau^-1 r}[d - 2], or P_v[d - 1] for r = I_v;
         # F^-1(M_r[d]) is M_{tau r}[d + 2], or I_v[d + 1] for r = P_v.
@@ -417,46 +445,6 @@ class RootSystemData:
         self.f_inv_table = tuple(
             (t, 2) if t is not None else (inj_roots[self._proj_vertex[k]], 1)
             for k, t in enumerate(tau_img))
-
-    def _hom_table(self, tau: list[int | None], tau_inv: list[int | None]
-                   ) -> tuple[IntMatrix, IntMatrix]:
-        """Both Hom arrays, by a recurrence along the tau-orbits.  Four facts
-        about a hereditary algebra of Dynkin type give every entry:
-
-        - Hom(P_i, N) = (dim N)_i, and Hom(P_i, N[1]) = Ext^1(P_i, N) = 0.
-        - Hom(X, P) = 0 for X indecomposable non-projective and P projective:
-          the image of a nonzero map X -> P is a submodule of a projective,
-          so projective, and X would split off onto it.
-        - Hom(X, Y) = Hom(tau X, tau Y) for X, Y indecomposable
-          non-projective: tau is an equivalence from modules modulo maps
-          through projectives to modules modulo maps through injectives, and
-          no nonzero map X -> Y factors through a projective (previous fact),
-          nor tau X -> tau Y through an injective (its dual).
-        - Ext^1(X, Y) = D Hom(Y, tau X) for X non-projective (Auslander-
-          Reiten formula), and 0 for X projective.
-
-        Every indecomposable is tau^{-k} P_i for some i and k.  So the Hom
-        rows of the projectives come first, then those of each
-        tau^{-1}-layer in turn, each read off the row of its tau-image; the
-        Ext^1 rows are columns of the Hom array."""
-        count = len(self.positive_roots)
-        hom: list[tuple[int, ...] | None] = [None] * count
-        layer = list(self._proj_vertex)
-        for x in layer:
-            i = self._proj_vertex[x]
-            hom[x] = tuple(r[i] for r in self.positive_roots)
-        while layer:
-            layer = [y for y in map(tau_inv.__getitem__, layer)
-                     if y is not None]
-            for x in layer:
-                below = hom[tau[x]]
-                hom[x] = tuple(0 if t is None else below[t] for t in tau)
-        if None in hom:
-            raise QuiverError("some root lies in no tau-orbit of a projective")
-        columns = tuple(zip(*hom))
-        zero = (0,) * count
-        ext1 = tuple(zero if t is None else columns[t] for t in tau)
-        return tuple(hom), ext1
 
     # -- queries -------------------------------------------------------------
 
@@ -492,25 +480,19 @@ def build_root_system(q: QuiverDescriptor) -> RootSystemData:
 # ---------------------------------------------------------------------------
 
 def perp_masks(rs: RootSystemData) -> tuple[int, ...]:
-    """Per root x, the bitmask of the roots y with <y, x> = y^T E x = 0, E
-    = rs.euler_matrix.  For A, D, E, <y, x> = dim Hom(M_y, M_x) - dim
-    Ext^1(M_y, M_x), and in Dynkin type the two are never both nonzero: the
-    mask holds the terms that may follow x in an exceptional sequence.  For
-    B, C, F, G, E is the Euler form of the species with Coxeter element
-    s_1 ... s_n.  Computed on each call (E8 about 20 ms), not at
-    construction.
+    """Per root x, the bitmask of the roots y with <y, x> = 0: the zero
+    pattern of column x of rs.pairing.  For A, D, E, <y, x> = dim Hom(M_y,
+    M_x) - dim Ext^1(M_y, M_x), and in Dynkin type the two are never both
+    nonzero: the mask holds the terms that may follow x in an exceptional
+    sequence.  For B, C, F, G the pairing is the Euler form of the species
+    with Coxeter element s_1 ... s_n.  Read on each call (E8 under 1 ms).
 
     >>> rs = build_root_system(QuiverDescriptor.standard("A", 2))
     >>> [bin(mask) for mask in perp_masks(rs)]
     ['0b10', '0b100', '0b1']
     """
-    roots = rs.positive_roots
-    masks = []
-    for x in roots:
-        lx = mat_vec(rs.euler_matrix, x)
-        masks.append(sum(1 << k for k, y in enumerate(roots)
-                         if not sum(map(mul, y, lx))))
-    return tuple(masks)
+    return tuple(sum(1 << y for y, v in enumerate(column) if not v)
+                 for column in zip(*rs.pairing))
 
 
 def fuss_catalan(rs: RootSystemData, m: int) -> int:

@@ -182,7 +182,8 @@ def rotate(seq: ExcSeq) -> ExcSeq:
 # indecomposables Z with Hom(Z, E_i) = 0 = Ext^1(Z, E_i) for every i: the
 # perpendicular category of the prefix, a wide subcategory (Crawley-Boevey).
 # So the state of a search is one root bitmask, the AND of the masks
-# perp[x] of the prefix, which roots.perp_masks reads off the Euler form.
+# perp[x] of the prefix, which roots.perp_masks reads off the zeros of the
+# Euler pairing rs.pairing.
 
 def _all_roots(rs: RootSystemData) -> int:
     """The mask of every root: the whole module category."""

@@ -51,12 +51,13 @@ class WeylGroup:
     is 0, `coxeter` the mask of every root, and the reflection along root x
     is 1 << x.  The interval is found by descent from c, whose matrix is
     rs.coxeter_matrix: below u lie the t_x.u for x in W(u), with W(t_x.u) =
-    W(u) & perp[x] (roots.perp_masks), as the terms after x in an
-    exceptional sequence lie in its perpendicular category.  A new mask
-    gets its matrix by one rank-one update; the matrices order `elements`,
-    and so every listing.  For the A, D, E
-    families, phi reads the simples of each W(u) off the masks of the roots
-    y != x with a nonzero map M_y -> M_x and dim M_y <= dim M_x, per root x.
+    W(u) & perp[x] (roots.perp_masks, the zeros of column x of
+    rs.pairing), as the terms after x in an exceptional sequence lie in its
+    perpendicular category.  A new mask gets its matrix by one rank-one
+    update; the matrices order `elements`, and so every listing.  For the
+    A, D, E families, phi reads the simples of each W(u) off the masks of
+    the roots y != x with a nonzero map M_y -> M_x and dim M_y <= dim M_x,
+    per root x.
     """
 
     def __init__(self, rs: RootSystemData):

@@ -8,8 +8,12 @@ plain depth-first search.  The perpendicular-mask search for complete
 exceptional sequences is compared with the search that tests each candidate
 against each term of its prefix.  The Coxeter element and its inverse are
 compared with products of reflection matrices, the Euler matrix with the
-arrow counts of the quiver.  The positive roots are compared with the
-closure of the simples under all simple reflections.  Reflection length
+arrow counts of the quiver, the Euler pairing table with the product
+R E R^T and its zero pattern with one dot product per pair of roots.
+mu_rev and its inverse are compared with the dual exceptional sequence,
+read off the inverse Gram matrix of the Euler form.  The positive roots
+are compared with the closure of the simples under all simple
+reflections.  Reflection length
 comes from breadth-first search in the Cayley graph and from the fixed space
 of an element, the interval [1, c] and its wide masks from a descent that
 tests each root against the fixed space, the m-noncrossing partitions from
@@ -41,9 +45,9 @@ from exseq.derived import (
 )
 from exseq.riedtmann import PeriodicConfig
 from exseq.roots import (
-    DimVector, IntMatrix, QuiverDescriptor, RootSystemData, mat_vec,
+    DimVector, IntMatrix, QuiverDescriptor, RootSystemData, mat_transpose, mat_vec,
 )
-from exseq.sequences import ExcSeq, MutationError, _bits, is_exceptional
+from exseq.sequences import ExcSeq, MutationError, MutationSign, _bits, is_exceptional
 from exseq.silting import (
     DCollection, collection, is_hom_leq0_config, is_m_config, order_config,
 )
@@ -508,8 +512,28 @@ def phi_inverse_matrix(group: WeylGroup, col: DCollection, m: int) -> NCTuple:
 
 
 # ---------------------------------------------------------------------------
-# Perpendicular masks from the Hom table.
+# The Euler pairing and perpendicular masks, from the Hom table and from
+# the Euler matrix.
 # ---------------------------------------------------------------------------
+
+def euler_pairing(rs: RootSystemData) -> IntMatrix:
+    """<x, y> = x^T E y for every two positive roots, E = rs.euler_matrix:
+    the product R E R^T, with the positive roots as the rows of R."""
+    roots = rs.positive_roots
+    return mat_mul(mat_mul(roots, rs.euler_matrix), mat_transpose(roots))
+
+
+def euler_perp_masks(rs: RootSystemData) -> tuple[int, ...]:
+    """Per root x, the mask of the roots y with <y, x> = 0, by one dot
+    product of y with E x per pair."""
+    roots = rs.positive_roots
+    masks = []
+    for x in roots:
+        ex = mat_vec(rs.euler_matrix, x)
+        masks.append(sum(1 << k for k, y in enumerate(roots)
+                         if not sum(a * b for a, b in zip(y, ex))))
+    return tuple(masks)
+
 
 def hom_perp_masks(rs: RootSystemData) -> tuple[int, ...]:
     """Per root x, the mask of the roots z with Hom(M_z, M_x) = 0 and
@@ -525,6 +549,68 @@ def hom_right_perp_masks(rs: RootSystemData) -> tuple[int, ...]:
     full = (1 << len(rs.positive_roots)) - 1
     hom_rows, ext_rows, _, _ = rs.hom_masks
     return tuple(full & ~(h | e) for h, e in zip(hom_rows, ext_rows))
+
+
+# ---------------------------------------------------------------------------
+# mu_rev in closed form: the dual exceptional sequence.
+# ---------------------------------------------------------------------------
+
+def _unitriangular_inverse(u: list[list[int]]) -> list[list[int]]:
+    """The inverse of an upper unitriangular integer matrix, by back
+    substitution; it is integral."""
+    n = len(u)
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n - 1, -1, -1):
+        for j in range(n):
+            v[i][j] -= sum(u[i][k] * v[k][j] for k in range(i + 1, n))
+    return v
+
+
+def dual_sequence(seq: ExcSeq, inverse: bool = False) -> ExcSeq:
+    """mu_rev(seq), or mu_rev_inverse(seq) under inverse, as the dual
+    exceptional sequence, from the Euler form and the classes alone.
+
+    With G[i][k] = chi(E_i, E_k) = [E_i]^T E [E_k], upper unitriangular as
+    seq = (E_1, ..., E_n) is exceptional, F = mu_rev(seq) is biorthogonal
+    to it: chi(F_j, E_i) = 1 if i = n+1-j, else 0.  So [F_j] is row n+1-j
+    of G^-1 applied to the classes.  The sign of the class fixes the parity
+    of the degree, and Hom(F_j, E_{n+1-j}) is nonzero in degree 0, so the
+    degree is deg E_{n+1-j} or one less.  The inverse is the mirror image:
+    given F, [E_i] is column n+1-i of the inverse Gram matrix of F applied
+    to its classes, in degree deg F_{n+1-i} or one more."""
+    rs, n = seq[0].rs, len(seq)
+    classes = [tuple((-1) ** x.degree * c for c in x.dim()) for x in seq]
+    images = [mat_vec(rs.euler_matrix, v) for v in classes]
+    gram = [[sum(a * b for a, b in zip(u, ev)) for ev in images] for u in classes]
+    if any(gram[i][k] != (i == k) for i in range(n) for k in range(i + 1)):
+        raise MutationError("Gram matrix is not upper unitriangular")
+    inv = _unitriangular_inverse(gram)
+    out = []
+    for j in range(n):
+        coeffs = [row[n - 1 - j] for row in inv] if inverse else inv[n - 1 - j]
+        cls = tuple(sum(c * v[t] for c, v in zip(coeffs, classes))
+                    for t in range(rs.n))
+        odd = cls not in rs.root_index
+        root = rs.root_index[tuple(-c for c in cls) if odd else cls]
+        d = seq[n - 1 - j].degree
+        out.append(DObj(rs, root, d if (d - odd) % 2 == 0
+                        else d + (1 if inverse else -1)))
+    return tuple(out)
+
+
+def pair_signs(seq: ExcSeq) -> tuple[MutationSign, ...]:
+    """The sign of each input pair (E_k, E_l), k < l, in the order mu_rev
+    meets it: l = n, ..., 2, and for each l, k = l-1, ..., 1.  It is
+    negative when Hom(E_k, E_l[p]) is nonzero for some p <= 0,
+    non-negative when for some p >= 1, orthogonal when for none."""
+    signs = []
+    for l in range(len(seq) - 1, 0, -1):
+        for k in range(l - 1, -1, -1):
+            hits = nonzero_exts(seq[k], seq[l])
+            signs.append(MutationSign.ORTHOGONAL if not hits
+                         else MutationSign.NEGATIVE if hits[0][0] <= 0
+                         else MutationSign.NONNEGATIVE)
+    return tuple(signs)
 
 
 # ---------------------------------------------------------------------------

@@ -536,6 +536,38 @@ def test_output_byte_stable(capsys, tmp_path):
         assert hashlib.sha256(texts[0].encode()).hexdigest() == digest, argv
 
 
+# The outputs at the target scale, E6 to E8, each pinned by the sha256 of
+# its --out file without the one "elapsed_seconds" line, hashed line by line
+# so that the 31 MB of E8 are never parsed.  The two E6 payloads coincide:
+# verify's payload names the type, not the numbering.  The CI workflow pins
+# verify E7/1 and enumerate E7/2 m-config the same way.
+SCALE_OUTPUTS = [
+    (("verify", "--type", "E6", "--m", "1"),
+     "247666613dfd1b77b3c719bf90a8a33afc15b78db9a7a132ee4d087572bce984"),
+    (("verify", "--type", "E6", "--m", "1",
+      "--orientation", "[[1,2],[2,3],[3,4],[3,5],[4,6]]"),
+     "247666613dfd1b77b3c719bf90a8a33afc15b78db9a7a132ee4d087572bce984"),
+    (("riedtmann", "--type", "E7", "--verify"),
+     "3c031d0adca242456e55bfb7259e198955cd49d59c16659cf6c1dff20151405c"),
+    (("enumerate", "--type", "E8", "--m", "1", "--kind", "m-cluster-tilting"),
+     "3ca8b11a0a331c6be48eb93220f6d68b8c96859a2b29785005111fa4b1e6c83e"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", SCALE_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _ in SCALE_OUTPUTS])
+def test_scale_output_digests(capsys, tmp_path, argv, digest):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    sha = hashlib.sha256()
+    with out.open("rb") as lines:
+        for line in lines:
+            if not line.startswith(b'  "elapsed_seconds": '):
+                sha.update(line)
+    assert sha.hexdigest() == digest, argv
+
+
 @pytest.mark.parametrize("qtype,count", [("A3", 16), ("D4", 162)])
 def test_verify_checks_complete_sequence_count(capsys, qtype, count):
     code, payload = run(capsys, "verify", "--type", qtype, "--m", "1")

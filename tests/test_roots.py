@@ -16,8 +16,8 @@ from exseq.roots import mat_identity, mat_mul, mat_vec, perp_masks
 
 from oracle import (
     admissible_quivers, arrow_euler_matrix, close_roots_pm, coxeter_element,
-    hom_perp_masks, hom_right_perp_masks, orientations, seeded_quiver,
-    serre_hom_table,
+    euler_pairing, euler_perp_masks, hom_perp_masks, hom_right_perp_masks,
+    orientations, seeded_quiver, serre_hom_table,
 )
 
 
@@ -123,10 +123,22 @@ def test_exponent_table(family, rank, h, exps):
     {"family": "A", "rank": 2, "arrows": ((1, 2, 3),)},
     {"family": "A", "rank": 2, "arrows": (("1", 2),)},
     {"family": "A", "rank": 2, "arrows": (12,)},
+    {"family": "A", "rank": True, "arrows": ()},                # field types
+    {"family": "A", "rank": 2.0, "arrows": ((1, 2),)},
+    {"family": "A", "rank": 1.0, "arrows": ()},
+    {"family": ["A"], "rank": 2, "arrows": ()},
 ])
 def test_malformed_quivers_rejected(bad):
     with pytest.raises(QuiverError):
         QuiverDescriptor(bad["family"], bad["rank"], bad["arrows"])
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", True), ("A", 2.0), (["A"], 2), ("B", 2.0), ("H", 3),
+])
+def test_standard_rejects_malformed_fields(family, rank):
+    with pytest.raises(QuiverError):
+        QuiverDescriptor.standard(family, rank)
 
 
 def _accepts(family, rank, arrows) -> bool:
@@ -275,6 +287,18 @@ def perp_systems():
                 for rank, seeds in ((6, (4, 5)), (7, (6, 7)), (8, (8, 9)))
                 for seed in seeds]
     return [build_root_system(q) for q in quivers]
+
+
+def test_pairing_and_perp_masks_match_euler_oracles():
+    # The table built row by row along the roots against the plain product
+    # R E R^T, and its zero pattern against a dot product per pair, for
+    # every family: B, C, F, G pair by the Euler form of the species.
+    systems = perp_systems() + [
+        build_root_system(QuiverDescriptor.standard(family, rank))
+        for family, rank in (("B", 2), ("B", 4), ("C", 4), ("F", 4), ("G", 2))]
+    for rs in systems:
+        assert rs.pairing == euler_pairing(rs), rs.quiver
+        assert perp_masks(rs) == euler_perp_masks(rs), rs.quiver
 
 
 def test_perp_masks_match_hom_columns():

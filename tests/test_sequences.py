@@ -4,6 +4,7 @@ from collections import Counter
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exseq import (
     DObj, MutationSign, QuiverDescriptor, build_root_system, class_of,
@@ -12,14 +13,16 @@ from exseq import (
     reflection_matrix, rotate, shift, simple,
 )
 from exseq import sequences
-from exseq.roots import mat_vec
+from exseq.roots import mat_vec, perp_masks
 from exseq.sequences import (
-    _all_roots, _complete_sequences, _sample_complete_sequences, _sequence_counts,
-    mu_rev_order,
+    _all_roots, _bits, _complete_sequences, _sample_complete_sequences,
+    _sequence_counts, mu_rev_order,
 )
+from exseq.silting import enumerate_kind, order_config, order_silting
 
 from oracle import (
-    admissible_quivers, complete_sequence, complete_sequences_pairwise, seeded_quiver,
+    admissible_quivers, complete_sequence, complete_sequences_pairwise,
+    dual_sequence, pair_signs, seeded_quiver,
 )
 
 
@@ -330,3 +333,52 @@ def test_mutation_closure_is_transitive(a3):
                     seen.add(norm)
                     frontier.append(norm)
     assert seen == seqs
+
+
+# mu_rev in closed form: the dual exceptional sequence.  Its signs are the
+# pair signs of the input; those of the inverse, reversed and flipped, the
+# pair signs of its output.
+
+FLIP = {MutationSign.NEGATIVE: MutationSign.NONNEGATIVE,
+        MutationSign.NONNEGATIVE: MutationSign.NEGATIVE,
+        MutationSign.ORTHOGONAL: MutationSign.ORTHOGONAL}
+
+
+def _check_dual(seq, inverse: bool) -> None:
+    if inverse:
+        out, signs = mu_rev_inverse(seq)
+        assert tuple(FLIP[s] for s in reversed(signs)) == pair_signs(out), seq
+    else:
+        out, signs = mu_rev(seq)
+        assert signs == pair_signs(seq), seq
+    assert dual_sequence(seq, inverse) == out, seq
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4)])
+def test_dual_sequence_is_mu_rev_on_verify_inputs(family, rank):
+    # verify's inputs, in every orientation: the ordered m-cluster-tilting
+    # objects and m-configurations for m <= 2, and the complete sequences.
+    for quiver in admissible_quivers(family, rank):
+        rs = build_root_system(quiver)
+        for seq in _complete_sequences(rs):
+            _check_dual(seq, inverse=False)
+        for m in (1, 2):
+            for col in enumerate_kind(rs, "m-cluster-tilting", m):
+                _check_dual(order_silting(col), inverse=False)
+            for col in enumerate_kind(rs, "m-config", m):
+                _check_dual(order_config(col), inverse=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rank=st.sampled_from((6, 7, 8)), seed=st.integers(0, 10**6), data=st.data())
+def test_dual_sequence_is_mu_rev_on_random_orientations(rank, seed, data):
+    # A complete sequence drawn term by term from the perpendicular
+    # category of its prefix, each term in a random degree.
+    rs = build_root_system(seeded_quiver("E", rank, seed))
+    perp, allowed, seq = perp_masks(rs), _all_roots(rs), ()
+    while allowed:
+        x = data.draw(st.sampled_from(list(_bits(allowed))))
+        seq += (DObj(rs, x, data.draw(st.integers(-3, 3))),)
+        allowed &= perp[x]
+    _check_dual(seq, inverse=False)
+    _check_dual(seq, inverse=True)
