@@ -191,30 +191,31 @@ def _emit(args, text: str) -> None:
 _BATCH = 32    # collections per chunk of _objects_chunks
 
 
-def _objects_chunks(objs: list[DObj], cliques: list[tuple[int, ...]]) -> Iterator[str]:
+def _objects_chunks(objs: list[DObj], flat: memoryview) -> Iterator[str]:
     """The indent-2 JSON of the collections as the value of a top-level key,
-    one chunk per _BATCH collections; each clique lists indices into objs.
+    one chunk per _BATCH collections.  flat is enumerate_kind_indexed's
+    buffer of 2-byte indices into objs, n per collection, n the rank.
     Each object is encoded once: an indent-2 encoding at depth L is the
     depth-0 encoding with every newline followed by 2L more spaces, as JSON
     strings hold no raw newline.  What surrounds an object depends only on
     its position in its collection, so each position reads one table of
     texts: the first opens the collection, the last closes it, and every
     collection starts with a comma, which the first chunk drops."""
-    if not cliques:
+    if not flat:
         yield "[]"
         return
     texts = ["\n      " + _dumps(obj_to_dict(x)).replace("\n", "\n      ")
              for x in objs]
-    n = len(cliques[0])
+    n = objs[0].rs.n
     if n == 1:
         tables = [[",\n    [" + t + "\n    ]" for t in texts]]
     else:
         tables = ([[",\n    [" + t for t in texts]]
                   + [["," + t for t in texts]] * (n - 2)
                   + [["," + t + "\n    ]" for t in texts]])
-    chunks = ("".join(map(list.__getitem__, cycle(tables),
-                          chain.from_iterable(cliques[lo:lo + _BATCH])))
-              for lo in range(0, len(cliques), _BATCH))
+    step = _BATCH * n
+    chunks = ("".join(map(list.__getitem__, cycle(tables), flat[lo:lo + step]))
+              for lo in range(0, len(flat), step))
     yield "[" + next(chunks)[1:]
     yield from chunks
     yield "\n  ]"
@@ -227,16 +228,16 @@ def _objects_chunks(objs: list[DObj], cliques: list[tuple[int, ...]]) -> Iterato
 def cmd_enumerate(args) -> int:
     start = time.perf_counter()
     rs = _build(args)
-    objs, cliques = enumerate_kind_indexed(rs, args.kind, args.m)
+    objs, flat = enumerate_kind_indexed(rs, args.kind, args.m)
     report = RunReport("enumerate", f"{rs.family}{rs.n}", args.m)
-    report.counts[args.kind] = len(cliques)
+    report.counts[args.kind] = len(flat) // rs.n
     report.elapsed = time.perf_counter() - start
     # The collections go out between the encodings of the keys before and
     # after "objects" in sort_keys order; no other key holds "objects".
     head, _, tail = _dumps({**report.to_dict(), "objects": None}).partition(
         '"objects": null')
     _stream(args, chain((head + '"objects": ',),
-                        _objects_chunks(objs, cliques), (tail, "\n")))
+                        _objects_chunks(objs, flat), (tail, "\n")))
     return 0
 
 
@@ -400,8 +401,8 @@ def _verify_checks(report: RunReport, rs, group, m: int) -> None:
 
     # Only counted: the cliques are never wrapped as collections.
     positive = abs(fuss_catalan(rs, -m - 1))
-    shifted = len(enumerate_kind_indexed(rs, "silting-deg1-window", m)[1])
-    minus = len(enumerate_kind_indexed(rs, "m-config-minus", m)[1])
+    shifted = len(enumerate_kind_indexed(rs, "silting-deg1-window", m)[1]) // rs.n
+    minus = len(enumerate_kind_indexed(rs, "m-config-minus", m)[1]) // rs.n
     counts["positive-fuss-catalan"] = positive
     counts["silting-deg1-window"] = shifted
     counts["m-config-minus"] = minus

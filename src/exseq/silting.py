@@ -13,6 +13,7 @@ enumerate_configs).
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -150,36 +151,43 @@ def is_m_config(col: DCollection, m: int) -> bool:
 # Exhaustive enumeration.
 # ---------------------------------------------------------------------------
 
-def _cliques_of_size(count: int, neighbours: list[int], k: int) -> list[tuple[int, ...]]:
+def _cliques_of_size(count: int, neighbours: list[int], k: int) -> memoryview:
     """All k-cliques of the graph on vertices 0..count-1 whose neighbourhoods
-    are the bitmasks `neighbours`, vertices ascending, in lexicographic order.
+    are the bitmasks `neighbours`, vertices ascending, in lexicographic
+    order, packed: a memoryview of format 'H' whose entries i*k .. i*k+k-1
+    are the vertices of clique i.  k is at least 1.  Vertices are 2-byte
+    indices, so count is at most 65,536 (the largest window, E8 at m = 3,
+    has 368 objects).
 
     A depth-first search over candidate masks: the vertices after the last
     one chosen that are adjacent to every chosen vertex.  Two vertices from
     the end the clique is completed by the 2-cliques of its candidate mask.
     These masks repeat heavily (the link of a face of a generalized cluster
     complex is again one, Fomin-Reading 2005), so each mask's 2-cliques are
-    listed once and shared.  For k <= 2 no tail is read."""
-    out: list[tuple[int, ...]] = []
-    tails: dict[int, list[tuple[int, int]]] = {}
+    listed once, as 4-byte records, and every prefix reaching that mask
+    writes them with one join.  For k <= 2 no tail is read."""
+    out = bytearray()
+    code = [v.to_bytes(2, sys.byteorder) for v in range(count)]
+    tails: dict[int, list[bytes]] = {}
 
-    def pairs(mask: int) -> list[tuple[int, int]]:
+    def pairs(mask: int) -> list[bytes]:
         found = tails[mask] = []
         while mask:
             low = mask & -mask
             mask ^= low
             a = low.bit_length() - 1
+            head = code[a]
             rest = mask & neighbours[a]
             while rest:
                 low = rest & -rest
                 rest ^= low
-                found.append((a, low.bit_length() - 1))
+                found.append(head + code[low.bit_length() - 1])
         return found
 
-    def grow(clique: tuple[int, ...], cands: int) -> None:
-        need = k - len(clique)              # vertices still to choose
+    def grow(prefix: bytes, need: int, cands: int) -> None:
+        # need: the vertices still to choose after prefix
         if need == 0:
-            out.append(clique)
+            out.extend(prefix)
             return
         while cands.bit_count() >= need:
             low = cands & -cands
@@ -192,12 +200,15 @@ def _cliques_of_size(count: int, neighbours: list[int], k: int) -> list[tuple[in
                 tail = tails.get(child)
                 if tail is None:
                     tail = pairs(child)
-                out.extend(map((clique + (v,)).__add__, tail))
+                if tail:
+                    p = prefix + code[v]
+                    out.extend(p)
+                    out.extend(p.join(tail))
             else:
-                grow(clique + (v,), child)
+                grow(prefix + code[v], need - 1, child)
 
-    grow((), (1 << count) - 1)
-    return out
+    grow(b"", k, (1 << count) - 1)
+    return memoryview(out).cast("H")
 
 
 def _compatibility_graph(rs: RootSystemData, w: WindowSpec,
@@ -244,23 +255,26 @@ def _compatibility_graph(rs: RootSystemData, w: WindowSpec,
 
 
 def _enumerate(rs: RootSystemData, w: WindowSpec,
-               rule: str) -> tuple[list[DObj], list[tuple[int, ...]]]:
+               rule: str) -> tuple[list[DObj], memoryview]:
     """The window's objects in (degree, root) order, and the n-cliques of
-    the rule's compatibility graph on them as ascending index tuples into
-    that list, in lexicographic order."""
+    the rule's compatibility graph on them, in lexicographic order, as one
+    buffer of 2-byte indices into that list: clique i is
+    flat[i*n:(i+1)*n], ascending."""
     objs, neighbours = _compatibility_graph(rs, w, rule)
     return objs, _cliques_of_size(len(objs), neighbours, rs.n)
 
 
-def _collections(objs: list[DObj], cliques: list[tuple[int, ...]]) -> list[DCollection]:
-    """The cliques as collections.  Ascending indices into a list in
-    (degree, root) order pick distinct objects already in the canonical
-    order a DCollection holds, and the cliques come in lexicographic order."""
-    return [DCollection(tuple(map(objs.__getitem__, idxs))) for idxs in cliques]
+def _collections(objs: list[DObj], flat: memoryview, n: int) -> list[DCollection]:
+    """The packed n-cliques as collections.  Ascending indices into a list
+    in (degree, root) order pick distinct objects already in the canonical
+    order a DCollection holds, and the cliques come in lexicographic order.
+    Each run of n objects is cut by zip from one iterator, not by a slice
+    per clique."""
+    return list(map(DCollection, zip(*[map(objs.__getitem__, flat)] * n)))
 
 
 def enumerate_silting(rs: RootSystemData, w: WindowSpec) -> list[DCollection]:
-    return _collections(*_enumerate(rs, w, "silting"))
+    return _collections(*_enumerate(rs, w, "silting"), rs.n)
 
 
 def enumerate_configs(rs: RootSystemData, w: WindowSpec) -> list[DCollection]:
@@ -275,7 +289,7 @@ def enumerate_configs(rs: RootSystemData, w: WindowSpec) -> list[DCollection]:
     back in the AR order: there is none.  explain_not_config keeps H4, as
     the definition does.
     """
-    return _collections(*_enumerate(rs, w, "config"))
+    return _collections(*_enumerate(rs, w, "config"), rs.n)
 
 
 # The kinds whose window m alone fixes, with that window and the
@@ -290,9 +304,11 @@ M_WINDOW_KINDS = tuple(_M_KINDS)
 
 
 def enumerate_kind_indexed(rs: RootSystemData, kind: str, m: int
-                           ) -> tuple[list[DObj], list[tuple[int, ...]]]:
+                           ) -> tuple[list[DObj], memoryview]:
     """enumerate_kind before the wrapping: the window's objects and the
-    collections as ascending index tuples into them."""
+    collections packed as one buffer of 2-byte indices into them (format
+    'H'), collection i at flat[i*n:(i+1)*n], ascending, in the order
+    enumerate_kind returns them."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if kind not in _M_KINDS:
@@ -304,7 +320,7 @@ def enumerate_kind_indexed(rs: RootSystemData, kind: str, m: int
 def enumerate_kind(rs: RootSystemData, kind: str, m: int) -> list[DCollection]:
     """Dispatch enumeration by kind name; m must be at least 1.  For any
     other window use enumerate_silting or enumerate_configs."""
-    return _collections(*enumerate_kind_indexed(rs, kind, m))
+    return _collections(*enumerate_kind_indexed(rs, kind, m), rs.n)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from exseq.derived import nonzero_exts, window_objects
 from exseq.sequences import is_exceptional
 from exseq.silting import (
     _M_KINDS, _cliques_of_size, _compatibility_graph, _explain_pairs, _topo_sort,
-    collection_from_list, collection_to_list, explain_not_config,
-    explain_not_silting, order_config, order_silting,
+    collection_from_list, collection_to_list, enumerate_kind_indexed,
+    explain_not_config, explain_not_silting, order_config, order_silting,
 )
 
 from oracle import (
@@ -313,11 +313,18 @@ def test_enumerated_collections_are_canonical(family, rank):
                 assert c.summands == frozenset(c.objects)
 
 
+def _unpacked(flat, k: int) -> list[tuple[int, ...]]:
+    """The packed k-cliques as a list of tuples, in buffer order."""
+    assert flat.format == "H"
+    assert len(flat) % k == 0
+    return list(zip(*[iter(flat)] * k))
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_cliques_match_brute_force(data):
     count = data.draw(st.integers(0, 16))
-    k = data.draw(st.integers(0, 6))
+    k = data.draw(st.integers(1, 6))
     density = data.draw(st.integers(0, 10))
     pairs = list(itertools.combinations(range(count), 2))
     draws = data.draw(st.lists(st.integers(0, 9), min_size=len(pairs),
@@ -329,7 +336,7 @@ def test_cliques_match_brute_force(data):
         neighbours[j] |= 1 << i
     expected = [c for c in itertools.combinations(range(count), k)
                 if all(p in edges for p in itertools.combinations(c, 2))]
-    assert _cliques_of_size(count, neighbours, k) == expected
+    assert _unpacked(_cliques_of_size(count, neighbours, k), k) == expected
 
 
 @pytest.mark.parametrize("family,rank,ms,every_orientation", [
@@ -344,8 +351,17 @@ def test_cliques_match_plain_search(family, rank, ms, every_orientation):
         for m in ms:
             for kind, (make_window, rule) in _M_KINDS.items():
                 objs, neighbours = _compatibility_graph(rs, make_window(m), rule)
-                assert _cliques_of_size(len(objs), neighbours, rank) == lex_cliques(
-                    len(objs), neighbours, rank), (q, kind, m)
+                assert _unpacked(_cliques_of_size(len(objs), neighbours, rank),
+                                 rank) == lex_cliques(len(objs), neighbours, rank), \
+                    (q, kind, m)
+
+
+def test_enumeration_is_packed():
+    # The 144,210 E7/2 m-cluster-tilting objects are one buffer of 2-byte
+    # indices, rank many per object, not a tuple per object.
+    rs = build_root_system(QuiverDescriptor.standard("E", 7))
+    flat = enumerate_kind_indexed(rs, "m-cluster-tilting", 2)[1]
+    assert (flat.format, flat.itemsize, len(flat)) == ("H", 2, 7 * 144_210)
 
 
 GRAPH_WINDOWS = (WindowSpec(-1, 2), WindowSpec(0, 1, minus_projectives=True),
