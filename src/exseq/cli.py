@@ -29,8 +29,8 @@ from .sequences import (
 )
 from .silting import (
     M_WINDOW_KINDS, _config_to_silting, collection_from_list, collection_to_list,
-    config_to_silting, enumerate_kind, enumerate_kind_indexed, explain_not_config,
-    explain_not_silting, order_config, order_silting, silting_to_config,
+    config_to_silting, enumerate_kind, enumerate_kind_indexed, order_config,
+    order_silting, silting_to_config,
 )
 from .weyl import (
     _count_m_nc, _phi_inverse, enumerate_m_nc, generate_weyl, nc_from_words, nc_to_dict,
@@ -307,17 +307,14 @@ def cmd_biject(args) -> int:
         col = collection_from_list(rs, record)
         if args.direction == "config-to-nc":
             return {"output": nc_to_dict(group, phi_inverse(group, col, args.m))}
-        # silting-to-config or back; argparse admits no other direction
+        # silting-to-config or back; argparse admits no other direction.  The
+        # bijection checks the record; the trace is built only after it passes.
         forward = args.direction == "silting-to-config"
-        reason = (explain_not_silting if forward else explain_not_config)(col)
-        if reason:
-            raise ValueError(reason)
-        entry = {}
+        bijection = silting_to_config if forward else config_to_silting
+        entry = {"output": collection_to_list(bijection(col))}
         if args.trace:
             order = order_silting if forward else order_config
             entry["trace"] = _trace_of(order(col), inverse=not forward)
-        bijection = silting_to_config if forward else config_to_silting
-        entry["output"] = collection_to_list(bijection(col))
         return entry
 
     return _per_record(args, convert, {"direction": args.direction})
@@ -457,7 +454,9 @@ def cmd_verify(args) -> int:
         for key, value in sorted(report.counts.items()):
             writer.writerow([key, value])
         _write(args.csv, table.getvalue(), newline="")
-    _emit(args, _dumps(report.to_dict()))
+    # The quiver checked, so that payloads of two numberings differ.
+    payload = {**report.to_dict(), "arrows": [list(a) for a in rs.quiver.arrows]}
+    _emit(args, _dumps(payload))
     return 0 if report.passed else 1
 
 

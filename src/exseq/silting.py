@@ -18,13 +18,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .derived import (
-    RULES, DObj, WindowSpec, ext_dim, forbidden_ext, hom_dim, obj_from_dict,
+    RULES, DObj, WindowSpec, ext_dim, forbidden_ext, nonzero_exts, obj_from_dict,
     obj_to_dict, window_objects,
 )
 from .roots import RootSystemData
-from .sequences import (
-    ExcSeq, MutationError, MutationSign, is_exceptional, mu_rev, mu_rev_inverse,
-)
+from .sequences import ExcSeq, MutationError, MutationSign, mu_rev, mu_rev_inverse
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,7 @@ def explain_not_config(col: DCollection) -> str | None:
     if len(objs) != col.rs.n:
         return f"a configuration needs {col.rs.n} summands, found {len(objs)}"
     reason = _explain_pairs(objs, "config")
-    if reason is None and _topo_sort(objs, _ext1_edge) is None:
+    if reason is None and _topo_sort(objs, _ext1_edge, lambda x: x.root) is None:
         return "the Ext^1 digraph on the summands has a cycle"
     return reason
 
@@ -327,10 +325,11 @@ def enumerate_kind(rs: RootSystemData, kind: str, m: int) -> list[DCollection]:
 # Ordering a collection into an exceptional sequence.
 # ---------------------------------------------------------------------------
 
-def _topo_sort(objs, has_edge) -> list[DObj] | None:
-    """Topological order with edges pointing earlier -> later, the least
-    root index first among the objects ready; None when there is a cycle."""
-    pending = sorted(objs, key=lambda x: x.root)
+def _topo_sort(objs, has_edge, key) -> list[DObj] | None:
+    """Topological order with edges pointing earlier -> later, the least key
+    first among the objects ready, so the order with the least key sequence;
+    None when there is a cycle."""
+    pending = sorted(objs, key=key)
     succ = [[j for j, b in enumerate(pending) if a != b and has_edge(a, b)]
             for a in pending]
     indeg = [sum(j in targets for targets in succ) for j in range(len(pending))]
@@ -350,33 +349,30 @@ def _ext1_edge(a: DObj, b: DObj) -> bool:
     return ext_dim(a, b, 1) != 0
 
 
-def _order(col: DCollection, descending: bool, has_edge, name: str) -> ExcSeq:
-    """The summands by degree, ascending or descending, each degree in
-    topological order of has_edge; checked to be exceptional."""
-    by_degree: dict[int, list[DObj]] = {}
-    for x in col.objects:
-        by_degree.setdefault(x.degree, []).append(x)
-    seq: list[DObj] = []
-    for d in sorted(by_degree, reverse=descending):
-        part = _topo_sort(by_degree[d], has_edge)
-        if part is None:
-            raise MutationError("within-degree ordering graph has a cycle")
-        seq.extend(part)
-    if not is_exceptional(seq):
-        raise MutationError(f"{name} ordering failed to be exceptional")
+def _order(col: DCollection, key) -> ExcSeq:
+    """The least-key topological order of the Ext digraph on the summands,
+    a -> b when some Ext^i(a, b) is nonzero.  It has no Ext from a later
+    term to an earlier one, so it is the key-least exceptional ordering."""
+    seq = _topo_sort(col.objects, nonzero_exts, key)
+    if seq is None:
+        raise MutationError("the Ext digraph on the summands has a cycle")
     return tuple(seq)
 
 
 def order_silting(col: DCollection) -> ExcSeq:
-    """Order a silting object into an exceptional sequence: ascending degree,
-    within one degree so that nonzero Homs point forward."""
-    return _order(col, False, lambda a, b: hom_dim(a, b) != 0, "silting")
+    """Order a silting object into an exceptional sequence: ascending degree
+    (its Ext edges between degrees only rise), within one degree so that
+    nonzero Homs point forward.  On any collection, the exceptional ordering
+    with the least (degree, root) sequence; MutationError if there is none."""
+    return _order(col, lambda x: (x.degree, x.root))
 
 
 def order_config(col: DCollection) -> ExcSeq:
-    """Order a configuration into an exceptional sequence: descending degree,
-    within one degree so that Ext^1 arrows point forward."""
-    return _order(col, True, _ext1_edge, "configuration")
+    """Order a configuration into an exceptional sequence: descending degree
+    (its Ext edges between degrees only fall), within one degree so that
+    Ext^1 arrows point forward.  On any collection, the exceptional ordering
+    with the least (-degree, root) sequence; MutationError if there is none."""
+    return _order(col, lambda x: (-x.degree, x.root))
 
 
 def silting_to_config(col: DCollection) -> DCollection:

@@ -137,7 +137,9 @@ def test_biject_reports_bad_records(capsys, tmp_path):
                         "--direction", "silting-to-config", "--in", str(infile))
     assert code == 1
     assert payload["failures"] == 1
-    assert "error" in payload["records"][0]
+    # The bijection's own check, with its prefix.
+    assert payload["records"][0]["error"] == (
+        "not a silting object: Ext^1(DObj([1, 0][0]), DObj([0, 1][0])) is nonzero")
 
 
 def test_biject_empty_input(capsys, tmp_path):
@@ -511,12 +513,12 @@ GOLDEN_OUTPUTS = [
     (("nc", "--type", "B2", "--m", "2"),
      "c0433686ef7c9af26569374918bb27194655167a0abc5cc3ea3ece1769209e63"),
     (("verify", "--type", "A4", "--m", "1"),
-     "9e7a08da8393f6421c4c638e956264709c1973066525fc5e887ccd8fa7e09031"),
+     "a64e48e5fc8efd1e751afd006826f33a4f445ac3e71fd8b86e0575c7aa51d03a"),
     (("verify", "--type", "D4", "--m", "2"),
-     "4ba4d911d8c2ac3c54eef0219ec2b79a00c0ce5a195c2cd3b05ccd67b3a6e627"),
+     "1ce7bb8ec32b6ef82bc58840da3875b3c8ca6ce0d98e60d02a89a80aa0d98156"),
     (("verify", "--type", "D5", "--m", "1",
       "--orientation", "[[1,5],[2,3],[3,4],[3,5]]"),
-     "d9428cd90b8af7a3d787c6000935219f84d1c8f4744ade3b7944a93d634e36e3"),
+     "575e87cb9f80aca967cbf47862b611010b31a23288686184e746da2849d6e080"),
     (("riedtmann", "--type", "D4", "--verify"),
      "db205e5b2d1920adf4349ecd33d6471c24f233ec9f5c4c8cdaebaaa2884e19e9"),
 ]
@@ -538,15 +540,15 @@ def test_output_byte_stable(capsys, tmp_path):
 
 # The outputs at the target scale, E6 to E8, each pinned by the sha256 of
 # its --out file without the one "elapsed_seconds" line, hashed line by line
-# so that the 31 MB of E8 are never parsed.  The two E6 payloads coincide:
-# verify's payload names the type, not the numbering.  The CI workflow pins
+# so that the 31 MB of E8 are never parsed.  The two E6 payloads differ in
+# their "arrows", the numbering verify checked.  The CI workflow pins
 # verify E7/1 and enumerate E7/2 m-config the same way.
 SCALE_OUTPUTS = [
     (("verify", "--type", "E6", "--m", "1"),
-     "247666613dfd1b77b3c719bf90a8a33afc15b78db9a7a132ee4d087572bce984"),
+     "2b282c89fdc9eb96080187c18f9a38d49d06d8204fcf17712dc15db1da42df3d"),
     (("verify", "--type", "E6", "--m", "1",
       "--orientation", "[[1,2],[2,3],[3,4],[3,5],[4,6]]"),
-     "247666613dfd1b77b3c719bf90a8a33afc15b78db9a7a132ee4d087572bce984"),
+     "2ce0b7e4586f45191618dad3f60c13344bb71f5573dcfb9b895c55f93bde4568"),
     (("riedtmann", "--type", "E7", "--verify"),
      "3c031d0adca242456e55bfb7259e198955cd49d59c16659cf6c1dff20151405c"),
     (("enumerate", "--type", "E8", "--m", "1", "--kind", "m-cluster-tilting"),
@@ -566,6 +568,50 @@ def test_scale_output_digests(capsys, tmp_path, argv, digest):
             if not line.startswith(b'  "elapsed_seconds": '):
                 sha.update(line)
     assert sha.hexdigest() == digest, argv
+
+
+# The orders the bijections use, pinned through the CLI: every object of one
+# enumerated kind goes through biject --trace, whose traces list each
+# mu_rev step of the ordered sequence.  A biject payload has no
+# elapsed_seconds, so the whole --out file is hashed.
+TRACE_OUTPUTS = [
+    ("D4", 2, "m-cluster-tilting", "silting-to-config",
+     "efb043d197272fcce47d37b5929e5831e49c99ee9f456bed1d3006f40efa9c75"),
+    ("D4", 2, "m-config", "config-to-silting",
+     "0769c099e5ce0657872e71395c87e74c3cafdc7ed0f84afbae346e3e180f1946"),
+    ("E6", 1, "m-cluster-tilting", "silting-to-config",
+     "b23aa12d279d5026bbb8d26f86f3031d86941d50cedd2bcd50849e603ccabf94"),
+]
+
+
+@pytest.mark.parametrize("qtype,m,kind,direction,digest", TRACE_OUTPUTS,
+                         ids=[f"{t}/{m} {d}" for t, m, _, d, _ in TRACE_OUTPUTS])
+def test_biject_trace_digests(capsys, tmp_path, qtype, m, kind, direction, digest):
+    listing, records, out = (tmp_path / name for name in
+                             ("listing.json", "records.json", "out.json"))
+    assert main(["enumerate", "--type", qtype, "--m", str(m), "--kind", kind,
+                 "--out", str(listing)]) == 0
+    records.write_text(json.dumps(json.loads(listing.read_text())["objects"]))
+    assert main(["biject", "--type", qtype, "--m", str(m), "--direction", direction,
+                 "--in", str(records), "--trace", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_verify_names_its_arrows(capsys):
+    # Two numberings of E6 pass the same checks; only "arrows" tells the
+    # payloads apart.
+    other = [[1, 2], [2, 3], [3, 4], [3, 5], [4, 6]]
+    payloads = []
+    for extra in ([], ["--orientation", json.dumps(other)]):
+        code, payload = run(capsys, "verify", "--type", "E6", "--m", "1", *extra)
+        assert code == 0
+        del payload["elapsed_seconds"]
+        payloads.append(payload)
+    standard = [list(a) for a in QuiverDescriptor.standard("E", 6).arrows]
+    assert standard != other
+    assert [p.pop("arrows") for p in payloads] == [standard, other]
+    assert payloads[0] == payloads[1]
 
 
 @pytest.mark.parametrize("qtype,count", [("A3", 16), ("D4", 162)])

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exseq import (
-    MutationSign, QuiverDescriptor, WindowSpec, build_root_system, collection,
-    config_to_silting, enumerate_configs, enumerate_kind, enumerate_silting,
-    is_hom_leq0_config, is_m_cluster_tilting, is_m_config, is_silting,
-    mu_rev, mu_rev_inverse, proj, shift, silting_to_config, simple,
+    MutationError, MutationSign, QuiverDescriptor, WindowSpec, build_root_system,
+    collection, config_to_silting, enumerate_configs, enumerate_kind,
+    enumerate_silting, is_hom_leq0_config, is_m_cluster_tilting, is_m_config,
+    is_silting, mu_rev, mu_rev_inverse, proj, shift, silting_to_config, simple,
 )
 from exseq.derived import nonzero_exts, window_objects
 from exseq.sequences import is_exceptional
@@ -66,12 +66,15 @@ def test_all_five_a2_1_configs(a2):
 
 def test_topo_sort_cycle_and_tie_break(a3):
     s1, s2, s3 = simple(a3, 1), simple(a3, 2), simple(a3, 3)
-    assert _topo_sort([s1, s2], lambda a, b: True) is None      # a 2-cycle
-    assert _topo_sort([s2, s1], lambda a, b: False) == [s1, s2]
-    # Only s3 -> s1: s2 and s3 are ready first and s2 has the lower root.
+    root = lambda x: x.root
+    assert _topo_sort([s1, s2], lambda a, b: True, root) is None      # a 2-cycle
+    assert _topo_sort([s2, s1], lambda a, b: False, root) == [s1, s2]
+    # Only s3 -> s1: s2 and s3 are ready first and s2 has the lower key.
     edge = lambda a, b: (a, b) == (s3, s1)
-    assert _topo_sort([s1, s2, s3], edge) == [s2, s3, s1]
-    assert _topo_sort([s1, s3], edge) == [s3, s1]
+    assert _topo_sort([s1, s2, s3], edge, root) == [s2, s3, s1]
+    assert _topo_sort([s1, s3], edge, root) == [s3, s1]
+    # The key decides among the ready objects: the highest root first.
+    assert _topo_sort([s1, s2, s3], edge, lambda x: -x.root) == [s3, s2, s1]
 
 
 def test_ext1_digraph_of_simples_is_acyclic(a3):
@@ -188,6 +191,17 @@ def test_ordering_helpers(a2):
     assert order_config(collection([s1, s2])) == (s1, s2)   # Ext^1 S1 -> S2
 
 
+def test_order_contract_off_silting_and_configs(a2):
+    # Neither a silting object nor a configuration: S2 and S2[1] have Ext
+    # both ways, so no ordering is exceptional; {S2[1], P1} has one, with
+    # the higher degree first, as Ext^1(S2[1], P1) = Hom(S2, P1) is nonzero.
+    s2, p1 = simple(a2, 2), proj(a2, 1)
+    for order in (order_silting, order_config):
+        with pytest.raises(MutationError, match="cycle"):
+            order(collection([s2, shift(s2, 1)]))
+    assert order_silting(collection([shift(s2, 1), p1])) == (shift(s2, 1), p1)
+
+
 def test_bijection_examples_a2(a2):
     s1, s2, p1 = simple(a2, 1), simple(a2, 2), proj(a2, 1)
     assert silting_to_config(collection([shift(p1, 1), shift(s2, 1)])) == \
@@ -240,16 +254,26 @@ def _admissible_orderings(col, side):
     return out
 
 
+def _least_exceptional(col, key):
+    """The exceptional ordering of the summands whose key sequence is least."""
+    return min((perm for perm in itertools.permutations(col.objects)
+                if is_exceptional(perm)), key=lambda perm: [key(x) for x in perm])
+
+
 def test_output_independent_of_admissible_ordering(a3):
     for m in (1, 2):
         for col in enumerate_kind(a3, "m-cluster-tilting", m):
             orderings = _admissible_orderings(col, "silting")
             assert order_silting(col) in orderings
+            assert order_silting(col) == _least_exceptional(
+                col, lambda x: (x.degree, x.root))
             results = {collection(mu_rev(seq)[0]) for seq in orderings}
             assert len(results) == 1
         for col in enumerate_kind(a3, "m-config", m):
             orderings = _admissible_orderings(col, "config")
             assert order_config(col) in orderings
+            assert order_config(col) == _least_exceptional(
+                col, lambda x: (-x.degree, x.root))
             results = {collection(mu_rev_inverse(seq)[0]) for seq in orderings}
             assert len(results) == 1
 
